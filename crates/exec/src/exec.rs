@@ -15,11 +15,23 @@
 //!   - `sprop`: `P * (1 - P)` / `P - P*P` in one pass,
 //!   - `sigmoid`: `1/(1+exp(-X))` in one pass,
 //! * FLOP / allocation accounting ([`crate::stats::ExecStats`]).
+//!
+//! Values are **shared, never copied**: a variable read borrows the
+//! binding, a kernel result is reference-counted, so reading a variable,
+//! inserting into the memo table and hitting it are O(1), and a root's
+//! value is moved out once the memo table is gone. The interpreter adds
+//! no allocation of its own on top of the kernels' outputs;
+//! [`ExecStats::cells_copied`] counts the one exception (a root that is
+//! only another name for an existing value).
 
+use crate::env::Bindings;
 use crate::stats::ExecStats;
 use spores_ir::{BinOp, ExprArena, LaNode, NodeId, Symbol, UnOp};
-use spores_matrix::Matrix;
+use spores_matrix::{Dense, Matrix};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::rc::Rc;
 
 /// Executor configuration.
 #[derive(Copy, Clone, Debug)]
@@ -60,6 +72,101 @@ impl std::error::Error for ExecError {}
 static MEMO_HITS: spores_telemetry::CounterHandle =
     spores_telemetry::CounterHandle::new("exec.memo_hits");
 
+/// A value in flight: an input borrowed from the bindings or a computed
+/// matrix shared by reference count. Cloning one never copies cells.
+#[derive(Clone)]
+enum Val<'e> {
+    Input(&'e Matrix),
+    Computed(Rc<Matrix>),
+}
+
+impl Deref for Val<'_> {
+    type Target = Matrix;
+
+    fn deref(&self) -> &Matrix {
+        match self {
+            Val::Input(m) => m,
+            Val::Computed(m) => m,
+        }
+    }
+}
+
+impl From<Matrix> for Val<'_> {
+    fn from(m: Matrix) -> Self {
+        Val::Computed(Rc::new(m))
+    }
+}
+
+impl Val<'_> {
+    /// Take a root's value out once its pass (and with it the memo
+    /// table's references) is gone. A computed value then has one owner
+    /// left and is moved; only a root that is another name for an input
+    /// or for an earlier root (a bare variable, or one node bound twice)
+    /// has to be copied.
+    fn into_owned(self, stats: &mut ExecStats) -> Matrix {
+        let owned = match self {
+            Val::Computed(rc) => Rc::try_unwrap(rc).map_err(Val::Computed),
+            input => Err(input),
+        };
+        owned.unwrap_or_else(|aliased| {
+            stats.cells_copied += cells(&aliased);
+            Matrix::clone(&aliased)
+        })
+    }
+}
+
+/// The state of one evaluation pass: the bindings it reads, the roots it
+/// has finished (visible to later roots under their names, shadowing the
+/// bindings) and the memo table shared by all its roots.
+struct Pass<'e> {
+    env: &'e dyn Bindings,
+    roots: Vec<(Symbol, Val<'e>)>,
+    memo: HashMap<NodeId, Val<'e>>,
+}
+
+impl<'e> Pass<'e> {
+    fn new(env: &'e dyn Bindings) -> Pass<'e> {
+        Pass {
+            env,
+            roots: Vec::new(),
+            memo: HashMap::new(),
+        }
+    }
+
+    fn var(&self, name: Symbol) -> Option<Val<'e>> {
+        let root = self.roots.iter().rev().find(|(n, _)| *n == name);
+        root.map(|(_, v)| v.clone())
+            .or_else(|| self.env.lookup(name).map(Val::Input))
+    }
+
+    /// End the pass: drop the memo table, hand the roots out as owned
+    /// values.
+    fn into_roots(self, stats: &mut ExecStats) -> Vec<(Symbol, Matrix)> {
+        drop(self.memo);
+        let own = |(name, value): (Symbol, Val<'e>)| (name, value.into_owned(stats));
+        self.roots.into_iter().map(own).collect()
+    }
+}
+
+/// Cells a matrix stores (a sparse cell is an index and a value).
+fn cells(m: &Matrix) -> u64 {
+    match m {
+        Matrix::Dense(d) => (d.rows * d.cols) as u64,
+        Matrix::Sparse(s) => 2 * s.nnz() as u64,
+    }
+}
+
+/// A dense view of a fused operator's operand: borrowed when the value
+/// is dense already, materialized only for a sparse one. Deref it to a
+/// `&Dense` once, outside the per-cell loops: left to every `get`, the
+/// borrowed-or-owned check cost the PNMF plan a quarter of its run time.
+fn dense(m: &Matrix) -> Cow<'_, Dense> {
+    match m {
+        Matrix::Dense(d) => Cow::Borrowed(d),
+        Matrix::Sparse(s) => Cow::Owned(s.to_dense()),
+    }
+}
+
 impl Executor {
     pub fn new(config: ExecConfig) -> Executor {
         Executor {
@@ -69,93 +176,97 @@ impl Executor {
     }
 
     /// Evaluate the DAG rooted at `root`.
-    pub fn run(
+    pub fn run<E: Bindings>(
         &mut self,
         arena: &ExprArena,
         root: NodeId,
-        env: &HashMap<Symbol, Matrix>,
+        env: &E,
     ) -> Result<Matrix, ExecError> {
-        let mut memo: HashMap<NodeId, Matrix> = HashMap::new();
-        self.eval(arena, root, env, &mut memo)
+        let mut pass = Pass::new(env);
+        let value = self.eval(arena, root, &mut pass)?;
+        drop(pass);
+        Ok(value.into_owned(&mut self.stats))
     }
 
     /// Evaluate a multi-root shared plan: the roots are evaluated in
     /// order with ONE memo table, so subplans shared across roots (the
     /// workload optimizer binds them once in the arena) are computed
-    /// exactly once per pass; each root's value is inserted into `env`
-    /// under its name before the next root runs, so later statements can
-    /// read earlier results as leaf variables.
+    /// exactly once per pass; each root's value is visible under its
+    /// name to the roots after it, so later statements can read earlier
+    /// results as leaf variables.
     ///
     /// The bundle must be in SSA form (no root's name read at or before
     /// its own definition) — the shape `spores_ir::WorkloadExpr`
     /// validates — or earlier memoized leaf reads would go stale.
     ///
-    /// The per-root values are left bound in `env` under the root names
-    /// (no extra copies; callers that need them read `env`).
-    pub fn run_many(
+    /// `env` is only read while the roots evaluate; when the last one is
+    /// done the per-root values are moved into it under the root names
+    /// (no extra copies; callers that need them read `env`). On an error
+    /// `env` is left as it was.
+    pub fn run_many<E: Bindings>(
         &mut self,
         arena: &ExprArena,
         roots: &[(Symbol, NodeId)],
-        env: &mut HashMap<Symbol, Matrix>,
+        env: &mut E,
     ) -> Result<(), ExecError> {
-        let mut memo: HashMap<NodeId, Matrix> = HashMap::new();
+        let mut pass = Pass::new(&*env);
         for &(name, root) in roots {
             let mut span = spores_telemetry::span!("exec.root", root = name.to_string());
-            let value = self.eval(arena, root, env, &mut memo)?;
-            span.arg("memo_entries", memo.len());
+            let value = self.eval(arena, root, &mut pass)?;
+            span.arg("memo_entries", pass.memo.len());
             drop(span);
-            env.insert(name, value);
+            pass.roots.push((name, value));
+        }
+        for (name, value) in pass.into_roots(&mut self.stats) {
+            env.bind(name, value);
         }
         Ok(())
     }
 
     fn alloc(&mut self, m: &Matrix) {
         self.stats.intermediates += 1;
-        self.stats.cells_allocated += match m {
-            Matrix::Dense(d) => (d.rows * d.cols) as u64,
-            Matrix::Sparse(s) => 2 * s.nnz() as u64,
-        };
+        self.stats.cells_allocated += cells(m);
     }
 
-    fn eval(
+    fn eval<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Matrix, ExecError> {
-        if let Some(v) = memo.get(&id) {
+        pass: &mut Pass<'e>,
+    ) -> Result<Val<'e>, ExecError> {
+        if let Some(v) = pass.memo.get(&id) {
             MEMO_HITS.add(1);
             return Ok(v.clone());
         }
-        if self.config.fusion {
-            if let Some(v) = self.try_fused(arena, id, env, memo)? {
-                memo.insert(id, v.clone());
-                return Ok(v);
-            }
-        }
-        let value = match arena.node(id) {
-            LaNode::Var(v) => env
-                .get(v)
-                .cloned()
-                .ok_or_else(|| ExecError(format!("unbound variable {v}")))?,
-            LaNode::Scalar(n) => Matrix::scalar(n.get()),
-            LaNode::Fill(n, r, c) => {
-                let m = Matrix::filled(*r as usize, *c as usize, n.get());
-                self.alloc(&m);
-                m
-            }
-            LaNode::Un(op, a) => {
-                let a = self.eval(arena, *a, env, memo)?;
-                self.unary(*op, &a)
-            }
-            LaNode::Bin(op, a, b) => {
-                let a = self.eval(arena, *a, env, memo)?;
-                let b = self.eval(arena, *b, env, memo)?;
-                self.binary(*op, &a, &b)?
-            }
+        let fused = if self.config.fusion {
+            self.try_fused(arena, id, pass)?
+        } else {
+            None
         };
-        memo.insert(id, value.clone());
+        let value = match fused {
+            Some(v) => v,
+            None => match arena.node(id) {
+                LaNode::Var(v) => pass
+                    .var(*v)
+                    .ok_or_else(|| ExecError(format!("unbound variable {v}")))?,
+                LaNode::Scalar(n) => Matrix::scalar(n.get()).into(),
+                LaNode::Fill(n, r, c) => {
+                    let m = Matrix::filled(*r as usize, *c as usize, n.get());
+                    self.alloc(&m);
+                    m.into()
+                }
+                LaNode::Un(op, a) => {
+                    let a = self.eval(arena, *a, pass)?;
+                    self.unary(*op, &a).into()
+                }
+                LaNode::Bin(op, a, b) => {
+                    let a = self.eval(arena, *a, pass)?;
+                    let b = self.eval(arena, *b, pass)?;
+                    self.binary(*op, &a, &b)?.into()
+                }
+            },
+        };
+        pass.memo.insert(id, value.clone());
         Ok(value)
     }
 
@@ -291,26 +402,25 @@ impl Executor {
 
     // ----- fused operators ------------------------------------------------
 
-    fn try_fused(
+    fn try_fused<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
-        if let Some(v) = self.try_wsloss(arena, id, env, memo)? {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
+        if let Some(v) = self.try_wsloss(arena, id, pass)? {
             return Ok(Some(v));
         }
-        if let Some(v) = self.try_wcemm(arena, id, env, memo)? {
+        if let Some(v) = self.try_wcemm(arena, id, pass)? {
             return Ok(Some(v));
         }
-        if let Some(v) = self.try_wdivmm(arena, id, env, memo)? {
+        if let Some(v) = self.try_wdivmm(arena, id, pass)? {
             return Ok(Some(v));
         }
-        if let Some(v) = self.try_sprop(arena, id, env, memo)? {
+        if let Some(v) = self.try_sprop(arena, id, pass)? {
             return Ok(Some(v));
         }
-        if let Some(v) = self.try_mmchain(arena, id, env, memo)? {
+        if let Some(v) = self.try_mmchain(arena, id, pass)? {
             return Ok(Some(v));
         }
         Ok(None)
@@ -319,13 +429,12 @@ impl Executor {
     /// `X / (W %*% H)` with sparse X — SystemML's `wdivmm`: the dense
     /// product is never materialized; each stored cell of X divides by
     /// one rank-r dot product.
-    fn try_wdivmm(
+    fn try_wdivmm<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
         let LaNode::Bin(BinOp::Div, x_id, mm_id) = arena.node(id) else {
             return Ok(None);
         };
@@ -333,12 +442,14 @@ impl Executor {
             return Ok(None);
         };
         let (x_id, w_id, h_id) = (*x_id, *w_id, *h_id);
-        let x = self.eval(arena, x_id, env, memo)?;
-        let Matrix::Sparse(xs) = &x else {
+        let x = self.eval(arena, x_id, pass)?;
+        let Matrix::Sparse(xs) = &*x else {
             return Ok(None); // dense X: generic path
         };
-        let w = self.eval(arena, w_id, env, memo)?.to_dense();
-        let h = self.eval(arena, h_id, env, memo)?.to_dense();
+        let w = self.eval(arena, w_id, pass)?;
+        let h = self.eval(arena, h_id, pass)?;
+        let (w, h) = (dense(&w), dense(&h));
+        let (w, h): (&Dense, &Dense) = (&w, &h);
         if w.cols != h.rows || xs.rows != w.rows || xs.cols != h.cols {
             return Ok(None);
         }
@@ -354,18 +465,17 @@ impl Executor {
         self.stats.fused_ops += 1;
         let out = Matrix::Sparse(out);
         self.alloc(&out);
-        Ok(Some(out))
+        Ok(Some(out.into()))
     }
 
     /// `sum(X * log(W %*% H))` with sparse X — SystemML's `wcemm`
     /// (weighted cross-entropy): streams over X's non-zeros.
-    fn try_wcemm(
+    fn try_wcemm<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
         let LaNode::Un(UnOp::Sum, prod) = arena.node(id) else {
             return Ok(None);
         };
@@ -387,12 +497,14 @@ impl Executor {
             return Ok(None);
         };
         let (w_id, h_id) = (*w_id, *h_id);
-        let x = self.eval(arena, x_id, env, memo)?;
-        let Matrix::Sparse(xs) = &x else {
+        let x = self.eval(arena, x_id, pass)?;
+        let Matrix::Sparse(xs) = &*x else {
             return Ok(None);
         };
-        let w = self.eval(arena, w_id, env, memo)?.to_dense();
-        let h = self.eval(arena, h_id, env, memo)?.to_dense();
+        let w = self.eval(arena, w_id, pass)?;
+        let h = self.eval(arena, h_id, pass)?;
+        let (w, h) = (dense(&w), dense(&h));
+        let (w, h): (&Dense, &Dense) = (&w, &h);
         if w.cols != h.rows || xs.rows != w.rows || xs.cols != h.cols {
             return Ok(None);
         }
@@ -409,17 +521,16 @@ impl Executor {
         }
         self.stats.flops += (xs.nnz() * (2 * r + 2)) as u64;
         self.stats.fused_ops += 1;
-        Ok(Some(Matrix::scalar(acc)))
+        Ok(Some(Matrix::scalar(acc).into()))
     }
 
     /// `sum((X ± A %*% t(B))^2)` — weighted-squared-loss style streaming.
-    fn try_wsloss(
+    fn try_wsloss<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
         let LaNode::Un(UnOp::Sum, sq) = arena.node(id) else {
             return Ok(None);
         };
@@ -438,16 +549,16 @@ impl Executor {
             return Ok(None);
         };
         let (u_id, vt_id) = (*u_id, *vt_id);
-        let x = self.eval(arena, x_id, env, memo)?;
-        let u = self.eval(arena, u_id, env, memo)?;
-        let vt = self.eval(arena, vt_id, env, memo)?;
+        let x = self.eval(arena, x_id, pass)?;
+        let u = self.eval(arena, u_id, pass)?;
+        let vt = self.eval(arena, vt_id, pass)?;
         if u.cols() != vt.rows() || x.rows() != u.rows() || x.cols() != vt.cols() {
             return Ok(None);
         }
         // stream: Σ_ij (X_ij + sign·Σ_k U_ik Vt_kj)², no m×n intermediate
         let (m, n, r) = (x.rows(), x.cols(), u.cols());
-        let ud = u.to_dense();
-        let vtd = vt.to_dense();
+        let (ud, vtd) = (dense(&u), dense(&vt));
+        let (ud, vtd): (&Dense, &Dense) = (&ud, &vtd);
         let mut acc = 0.0;
         for i in 0..m {
             for j in 0..n {
@@ -461,17 +572,16 @@ impl Executor {
         }
         self.stats.flops += (2 * m * n * r + 3 * m * n) as u64;
         self.stats.fused_ops += 1;
-        Ok(Some(Matrix::scalar(acc)))
+        Ok(Some(Matrix::scalar(acc).into()))
     }
 
     /// `P * (1 - P)` or `P - P*P` fused into one pass.
-    fn try_sprop(
+    fn try_sprop<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
         let p_id = match arena.node(id) {
             // P * (1 - P)  /  (1 - P) * P
             LaNode::Bin(BinOp::Mul, a, b) => {
@@ -500,23 +610,22 @@ impl Executor {
             _ => None,
         };
         let Some(p_id) = p_id else { return Ok(None) };
-        let p = self.eval(arena, p_id, env, memo)?;
+        let p = self.eval(arena, p_id, pass)?;
         let out = p.map(true, |x| x * (1.0 - x));
         self.stats.flops += p.nnz() as u64;
         self.stats.fused_ops += 1;
         self.alloc(&out);
-        Ok(Some(out))
+        Ok(Some(out.into()))
     }
 
     /// Matrix-multiply chains: associate by the classic dynamic program
     /// before executing (SystemML's `mmchain`).
-    fn try_mmchain(
+    fn try_mmchain<'e>(
         &mut self,
         arena: &ExprArena,
         id: NodeId,
-        env: &HashMap<Symbol, Matrix>,
-        memo: &mut HashMap<NodeId, Matrix>,
-    ) -> Result<Option<Matrix>, ExecError> {
+        pass: &mut Pass<'e>,
+    ) -> Result<Option<Val<'e>>, ExecError> {
         // collect the left-leaning (or arbitrary) matmul chain
         fn collect(arena: &ExprArena, id: NodeId, out: &mut Vec<NodeId>) {
             match arena.node(id) {
@@ -535,9 +644,9 @@ impl Executor {
         if leaves.len() < 3 {
             return Ok(None); // plain matmul: generic path
         }
-        let values: Vec<Matrix> = leaves
+        let values: Vec<Val<'e>> = leaves
             .iter()
-            .map(|&l| self.eval(arena, l, env, memo))
+            .map(|&l| self.eval(arena, l, pass))
             .collect::<Result<_, _>>()?;
         // dims p0 x p1 x ... x pn
         let mut dims = Vec::with_capacity(values.len() + 1);
@@ -563,13 +672,13 @@ impl Executor {
                 }
             }
         }
-        fn multiply(
+        fn multiply<'e>(
             exec: &mut Executor,
-            values: &[Matrix],
+            values: &[Val<'e>],
             split: &[Vec<usize>],
             i: usize,
             j: usize,
-        ) -> Matrix {
+        ) -> Val<'e> {
             if i == j {
                 return values[i].clone();
             }
@@ -579,7 +688,7 @@ impl Executor {
             exec.stats.flops += exec.matmul_flops(&a, &b);
             let out = a.matmul(&b);
             exec.alloc(&out);
-            out
+            out.into()
         }
         self.stats.fused_ops += 1;
         Ok(Some(multiply(self, &values, &split, 0, n - 1)))

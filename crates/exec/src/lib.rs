@@ -7,8 +7,10 @@
 
 #![forbid(unsafe_code)]
 
+pub mod env;
 pub mod exec;
 pub mod stats;
 
+pub use env::{Bindings, Overlay};
 pub use exec::{ExecConfig, ExecError, Executor};
 pub use stats::ExecStats;

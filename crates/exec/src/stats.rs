@@ -18,6 +18,11 @@ pub struct ExecStats {
     pub intermediates: u64,
     /// Number of fused-operator executions (mmchain/sprop/wsloss).
     pub fused_ops: u64,
+    /// Cells the executor itself deep-copied, on top of what the kernels
+    /// allocated (the counters above): a root value that is only another
+    /// name for an input or for an earlier root. Zero for any plan whose
+    /// roots all compute something.
+    pub cells_copied: u64,
 }
 
 impl AddAssign for ExecStats {
@@ -26,5 +31,6 @@ impl AddAssign for ExecStats {
         self.cells_allocated += rhs.cells_allocated;
         self.intermediates += rhs.intermediates;
         self.fused_ops += rhs.fused_ops;
+        self.cells_copied += rhs.cells_copied;
     }
 }

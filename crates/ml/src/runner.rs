@@ -20,7 +20,7 @@ use spores_core::{
     WorkloadOptimized,
 };
 use spores_egraph::Scheduler;
-use spores_exec::{ExecConfig, ExecError, ExecStats, Executor};
+use spores_exec::{Bindings, ExecConfig, ExecError, ExecStats, Executor, Overlay};
 use spores_ir::{ExprArena, NodeId, Symbol, WorkloadExpr};
 use spores_systemml::{HeuristicRewriter, OptLevel, VarInfo};
 use std::collections::HashMap;
@@ -240,27 +240,31 @@ pub fn execute(
     let mut exec = Executor::new(ExecConfig {
         fusion: mode.fusion(),
     });
-    let mut env = workload.inputs.clone();
+    // the inputs are read in place; only assigned targets are stored
+    let mut env = Overlay::new(&workload.inputs);
     let t0 = Instant::now();
     for _ in 0..workload.iterations {
         for (target, arena, root) in &compiled.statements {
             let value = exec.run(arena, *root, &env)?;
-            env.insert(*target, value);
+            env.bind(*target, value);
         }
     }
     let exec_time = t0.elapsed();
-    let scalars = env
-        .iter()
-        .filter(|(_, m)| m.is_scalar())
-        .map(|(&s, m)| (s, m.as_scalar()))
-        .collect();
     Ok(RunReport {
         mode: mode.label(),
         compile: compiled.report.clone(),
         exec_time,
         stats: exec.stats,
-        scalars,
+        scalars: final_scalars(&env),
     })
+}
+
+/// The scalar (1×1) variables a finished run leaves bound.
+fn final_scalars(env: &Overlay) -> HashMap<Symbol, f64> {
+    env.iter()
+        .filter(|(_, m)| m.is_scalar())
+        .map(|(s, m)| (s, m.as_scalar()))
+        .collect()
 }
 
 /// Compile + execute in one call.
@@ -404,34 +408,29 @@ pub fn execute_workload(
     compiled: &WorkloadCompiled,
 ) -> Result<RunReport, ExecError> {
     let mut exec = Executor::new(ExecConfig { fusion: true });
-    let mut env = workload.inputs.clone();
+    let mut env = Overlay::new(&workload.inputs);
     let t0 = Instant::now();
     for _ in 0..workload.iterations {
         exec.run_many(&compiled.arena, &compiled.roots, &mut env)?;
         // move (not copy) each final version onto its target name
         for (target, version) in &compiled.writebacks {
-            if let Some(v) = env.remove(version) {
-                env.insert(*target, v);
+            if let Some(v) = env.unbind(*version) {
+                env.bind(*target, v);
             }
         }
         // drop the remaining version bindings so the next pass
         // recomputes them
         for (version, _) in &compiled.roots {
-            env.remove(version);
+            env.unbind(*version);
         }
     }
     let exec_time = t0.elapsed();
-    let scalars = env
-        .iter()
-        .filter(|(_, m)| m.is_scalar())
-        .map(|(&s, m)| (s, m.as_scalar()))
-        .collect();
     Ok(RunReport {
         mode: "workload",
         compile: compiled.report.clone(),
         exec_time,
         stats: exec.stats,
-        scalars,
+        scalars: final_scalars(&env),
     })
 }
 
