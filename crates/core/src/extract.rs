@@ -53,10 +53,21 @@ pub fn extract_greedy_multi(
     egraph: &EGraph<Math, MetaAnalysis>,
     roots: &[Id],
 ) -> Option<(f64, MathExpr, Vec<Id>)> {
+    let (_, cost, expr, ids) = extract_greedy_costed(egraph, roots)?;
+    Some((cost, expr, ids))
+}
+
+/// [`extract_greedy_multi`], with the summed per-root *tree* cost — the
+/// quantity the greedy choices minimize, and what [`extract_greedy`]
+/// reports — in front of the DAG cost.
+pub(crate) fn extract_greedy_costed(
+    egraph: &EGraph<Math, MetaAnalysis>,
+    roots: &[Id],
+) -> Option<(f64, f64, MathExpr, Vec<Id>)> {
     let extractor = Extractor::new(egraph, NnzCost);
     let (expr, ids) = extractor.find_best_multi(roots)?;
-    let cost = dag_cost(egraph, &expr);
-    Some((cost, expr, ids))
+    let tree_cost = roots.iter().filter_map(|&r| extractor.best_cost(r)).sum();
+    Some((tree_cost, dag_cost(egraph, &expr), expr, ids))
 }
 
 /// Extract the cheapest plan with the ILP encoding of Figure 11.

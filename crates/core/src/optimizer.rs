@@ -4,14 +4,24 @@
 //! plans} → [extract w/ solver] → best RA plan → [translate] → best LA
 //! plan`, with per-phase wall-clock timings recorded for the Figure 16
 //! compile-time experiments.
+//!
+//! There is one pipeline, written over the roots of a multi-rooted DAG
+//! (what a SystemML program is): one translator, one e-graph holding
+//! every root, one multi-root plan lowered into one shared arena.
+//! [`Optimizer::optimize`] runs it over one root;
+//! `Optimizer::optimize_workload` ([`crate::workload`]) over every
+//! statement of a bundle at once.
 
-use crate::analysis::{MetaAnalysis, VarMeta};
+use crate::analysis::{Context, MathGraph, MetaAnalysis, VarMeta};
 use crate::cost::NnzCost;
-use crate::extract::{extract_greedy, extract_ilp, IlpStats};
-use crate::lower::lower_with_info;
+use crate::extract::{extract_greedy_costed, extract_ilp_multi, IlpStats};
+use crate::lang::MathExpr;
+use crate::lower::lower_workload;
 use crate::rules::{default_rules, MathRewrite};
-use crate::translate::{translate, TranslateError, Translation};
-use spores_egraph::{Extractor, MatchingMode, ParallelConfig, Runner, Scheduler, StopReason};
+use crate::translate::{translate, translate_roots, TranslateError};
+use spores_egraph::{
+    Extractor, Id, MatchingMode, ParallelConfig, RegionConfig, Runner, Scheduler, StopReason,
+};
 use spores_ir::{ExprArena, NodeId, Symbol};
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
@@ -36,14 +46,6 @@ pub struct OptimizerConfig {
     pub extractor: ExtractorKind,
     /// ILP solver budget (only used with [`ExtractorKind::Ilp`]).
     pub ilp_time_limit: Duration,
-    /// Workload mode only: per-region convergence freezing (on by
-    /// default). Statement regions that stop producing dirty classes
-    /// are frozen out of the rule-matching candidate set, and the
-    /// sampling cap scales with the number of *active* regions instead
-    /// of the statement count. Turning this off recovers the PR-3
-    /// behaviour (cap scaled by statement count, every region searched
-    /// every iteration).
-    pub region_freezing: bool,
     /// Parallel rule-search configuration for the saturation phase
     /// (thread count never changes plans, costs, or statistics — see
     /// [`ParallelConfig`]). Defaults to `SPORES_THREADS` / the host's
@@ -80,7 +82,6 @@ impl Default for OptimizerConfig {
             time_limit: Duration::from_millis(2500),
             extractor: ExtractorKind::Greedy,
             ilp_time_limit: Duration::from_secs(5),
-            region_freezing: true,
             parallel: ParallelConfig::default(),
             matching: MatchingMode::default(),
             rule_priors: None,
@@ -119,9 +120,8 @@ pub struct SaturationStats {
     pub candidates_visited: usize,
     /// Total (class, subst) match instances found across the run.
     pub matches_found: usize,
-    /// Workload mode: total (region, iteration) pairs during which a
-    /// statement's region sat frozen (0 for single-statement runs or
-    /// with region freezing disabled).
+    /// Total (region, iteration) pairs during which a statement's region
+    /// sat frozen (0 for one-root runs: one root is one region).
     pub region_frozen_iters: usize,
 }
 
@@ -181,42 +181,78 @@ impl Optimizer {
         self
     }
 
-    /// Optimize the LA expression rooted at `root`.
+    /// Optimize the LA expression rooted at `root`: the one-root case of
+    /// the pipeline.
     pub fn optimize(
         &self,
         arena: &ExprArena,
         root: NodeId,
         vars: &HashMap<Symbol, VarMeta>,
     ) -> Result<Optimized, TranslateError> {
+        let p = self.pipeline(arena, &[root], vars).map_err(|(_, e)| e)?;
+        Ok(Optimized {
+            arena: p.arena,
+            root: p.roots[0],
+            timings: p.timings,
+            saturation: p.saturation,
+            cost_before: p.cost_before,
+            cost_after: p.tree_cost_after,
+            ilp: p.ilp,
+            fell_back: p.fell_back,
+            size_polymorphic: p.size_polymorphic,
+        })
+    }
+
+    /// The pipeline (module docs), over any number of roots of one
+    /// arena: one translator, one e-graph holding every root, one
+    /// multi-root plan lowered into one shared arena. A shape error comes
+    /// back with the position of the offending root.
+    pub(crate) fn pipeline(
+        &self,
+        arena: &ExprArena,
+        roots: &[NodeId],
+        vars: &HashMap<Symbol, VarMeta>,
+    ) -> Result<Pipelined, (usize, TranslateError)> {
         let cfg = &self.config;
         if cfg.telemetry {
             spores_telemetry::set_enabled(true);
         }
 
-        // ---- translate (R_LR) ------------------------------------------
-        let span = spores_telemetry::span!("optimize.translate");
+        // ---- translate (R_LR; one translator for all roots) ------------
+        let span = spores_telemetry::span!("optimize.translate", roots = roots.len());
         let t0 = Instant::now();
-        let tr = translate(arena, root, vars)?;
+        let (plans, ctx) = translate_roots(arena, roots, vars)?;
         let t_translate = t0.elapsed();
         drop(span);
 
-        // ---- saturate (R_EQ) -------------------------------------------
+        // ---- saturate (R_EQ; one e-graph, every root in it) ------------
         let span = spores_telemetry::span!("optimize.saturate");
         let t0 = Instant::now();
         let rules = match &self.rules {
             Some(r) => r.clone(),
             None => default_rules(),
         };
-        let mut runner = Runner::new(MetaAnalysis::new(tr.ctx.clone()))
-            .with_expr(&tr.expr)
+        // The sampling scheduler caps match applications *per rule per
+        // iteration*; a union graph of N statements has ~N× the match
+        // surface. With regions the runner scales the cap by the number
+        // of *active* statement regions each iteration — the application
+        // rate of N separate runs while every statement is live,
+        // shrinking as statements converge — and drops converged
+        // regions' classes from every rule's candidate set. One root is
+        // one region: nothing to scale, nothing to freeze.
+        let mut runner = Runner::new(MetaAnalysis::new(ctx.clone()))
             .with_scheduler(cfg.scheduler.clone())
             .with_iter_limit(cfg.iter_limit)
             .with_node_limit(cfg.node_limit)
             .with_time_limit(cfg.time_limit)
             .with_parallel(cfg.parallel)
-            .with_matching(cfg.matching);
+            .with_matching(cfg.matching)
+            .with_regions(RegionConfig::default());
         if let Some(priors) = cfg.rule_priors.clone() {
             runner = runner.with_rule_priors(priors);
+        }
+        for (expr, ..) in &plans {
+            runner = runner.with_expr(expr);
         }
         let runner = runner.run(&rules);
         let t_saturate = t0.elapsed();
@@ -225,7 +261,13 @@ impl Optimizer {
             iterations: runner.iterations.len(),
             e_nodes: runner.egraph.total_number_of_nodes(),
             e_classes: runner.egraph.number_of_classes(),
-            converged: runner.saturated(),
+            // RegionsConverged is saturation of a multi-root run: every
+            // statement region reached the per-region fixpoint a run over
+            // that statement alone stops on.
+            converged: matches!(
+                runner.stop_reason,
+                Some(StopReason::Saturated | StopReason::RegionsConverged)
+            ),
             stop_reason: runner.stop_reason.clone(),
             candidates_visited: runner
                 .iterations
@@ -234,21 +276,22 @@ impl Optimizer {
                 .map(|r| r.candidates)
                 .sum(),
             matches_found: runner.iterations.iter().map(|it| it.matches_found).sum(),
-            region_frozen_iters: 0,
+            region_frozen_iters: runner
+                .iterations
+                .iter()
+                .map(|it| it.frozen_regions.iter().filter(|&&f| f).count())
+                .sum(),
         };
+        let eroots = runner.roots;
         let egraph = runner.egraph;
-        let eroot = runner.roots[0];
 
-        // cost of the input plan, for the before/after comparison
-        let cost_before = translated_cost(&tr);
-
-        // ---- extract -----------------------------------------------------
+        // ---- extract one multi-root plan --------------------------------
         let t0 = Instant::now();
         let mut ilp_stats = None;
         let extracted = match cfg.extractor {
             ExtractorKind::Greedy => {
                 let _span = spores_telemetry::span!("optimize.extract.greedy");
-                extract_greedy(&egraph, eroot)
+                extract_greedy_costed(&egraph, &eroots)
             }
             ExtractorKind::Ilp => {
                 let mut span =
@@ -257,7 +300,7 @@ impl Optimizer {
                     time_limit: cfg.ilp_time_limit,
                     ..spores_ilp::Solver::default()
                 };
-                extract_ilp(&egraph, eroot, &solver).map(|(c, e, s)| {
+                extract_ilp_multi(&egraph, &eroots, &solver).map(|(c, e, ids, s)| {
                     span.arg("n_vars", s.n_vars);
                     span.arg("rounds", s.rounds);
                     span.arg("optimal", s.optimal);
@@ -265,68 +308,99 @@ impl Optimizer {
                         span.arg("warm_start", w);
                     }
                     ilp_stats = Some(s);
-                    (c, e)
+                    (c, c, e, ids)
                 })
             }
         };
         let t_extract = t0.elapsed();
 
-        // ---- lower back to LA ---------------------------------------------
+        // ---- lower back to LA, into one shared arena ---------------------
         let span = spores_telemetry::span!("optimize.lower");
         let t0 = Instant::now();
-        let lowered = extracted
-            .as_ref()
-            .and_then(|(_, plan)| lower_with_info(plan, tr.row, tr.col, &tr.ctx).ok());
+        let lowered = extracted.as_ref().and_then(|(_, _, expr, ids)| {
+            let specs: Vec<(Id, Option<Symbol>, Option<Symbol>)> = ids
+                .iter()
+                .zip(&plans)
+                .map(|(&id, &(_, row, col, _))| (id, row, col))
+                .collect();
+            lower_workload(expr, &specs, &ctx).ok()
+        });
         let t_lower = t0.elapsed();
         drop(span);
 
+        // cost of the input plans, for the before/after comparison
+        let cost_before = translated_cost(ctx, plans.iter().map(|(expr, ..)| expr));
         let timings = PhaseTimings {
             translate: t_translate,
             saturate: t_saturate,
             extract: t_extract,
             lower: t_lower,
         };
-
-        match (extracted, lowered) {
-            (Some((cost_after, _)), Some(low)) => Ok(Optimized {
+        Ok(match (extracted, lowered) {
+            (Some((tree_cost_after, cost_after, ..)), Some(low)) => Pipelined {
                 arena: low.arena,
-                root: low.root,
+                roots: low.roots,
                 timings,
                 saturation,
                 cost_before,
                 cost_after,
+                tree_cost_after,
                 ilp: ilp_stats,
                 fell_back: false,
                 size_polymorphic: !low.dim_constants,
-            }),
-            _ => {
-                // extraction or lowering failed: return the input plan
-                Ok(Optimized {
-                    arena: arena.clone(),
-                    root,
-                    timings,
-                    saturation,
-                    cost_before,
-                    cost_after: cost_before,
-                    ilp: ilp_stats,
-                    fell_back: true,
-                    size_polymorphic: false,
-                })
-            }
-        }
+            },
+            // extraction or lowering failed: return the input plans
+            _ => Pipelined {
+                arena: arena.clone(),
+                roots: roots.to_vec(),
+                timings,
+                saturation,
+                cost_before,
+                cost_after: cost_before,
+                tree_cost_after: cost_before,
+                ilp: ilp_stats,
+                fell_back: true,
+                size_polymorphic: false,
+            },
+        })
     }
 }
 
-/// Price an already-translated plan with the greedy extractor: build a
-/// fresh (unsaturated) e-graph over the expression and read its best cost
-/// under [`NnzCost`].
-fn translated_cost(tr: &Translation) -> f64 {
-    let mut pre = crate::analysis::MathGraph::new(MetaAnalysis::new(tr.ctx.clone()));
-    let id = pre.add_expr(&tr.expr);
+/// What one run of the pipeline produced, before its projection into
+/// [`Optimized`] or `WorkloadOptimized`: the plan arena with one root
+/// per input root, in input order.
+pub(crate) struct Pipelined {
+    pub arena: ExprArena,
+    pub roots: Vec<NodeId>,
+    pub timings: PhaseTimings,
+    pub saturation: SaturationStats,
+    /// Summed cost estimate of the input plans.
+    pub cost_before: f64,
+    /// DAG cost of the extracted plan: each shared e-class paid once
+    /// across all roots.
+    pub cost_after: f64,
+    /// Summed per-root *tree* cost of the extracted plan — what the
+    /// greedy extractor minimizes. The ILP's optimum is a DAG cost, so
+    /// under ILP extraction this is `cost_after`.
+    pub tree_cost_after: f64,
+    pub ilp: Option<IlpStats>,
+    /// True when extraction or lowering failed and `arena` / `roots` are
+    /// the input's.
+    pub fell_back: bool,
+    pub size_polymorphic: bool,
+}
+
+/// Price already-translated plans with the greedy extractor: build a
+/// fresh (unsaturated) e-graph over the expressions and sum their best
+/// costs under [`NnzCost`].
+fn translated_cost<'e>(ctx: Context, exprs: impl Iterator<Item = &'e MathExpr>) -> f64 {
+    let mut pre = MathGraph::new(MetaAnalysis::new(ctx));
+    let ids: Vec<Id> = exprs.map(|expr| pre.add_expr(expr)).collect();
     pre.rebuild();
-    Extractor::new(&pre, NnzCost)
-        .best_cost(id)
-        .unwrap_or(f64::INFINITY)
+    let ext = Extractor::new(&pre, NnzCost);
+    ids.iter()
+        .map(|&id| ext.best_cost(id).unwrap_or(f64::INFINITY))
+        .sum()
 }
 
 /// Cost-model estimate ([`NnzCost`], Figure 12) of an LA plan as-is — no
@@ -339,7 +413,7 @@ pub fn plan_cost(
     vars: &HashMap<Symbol, VarMeta>,
 ) -> Result<f64, TranslateError> {
     let tr = translate(arena, root, vars)?;
-    Ok(translated_cost(&tr))
+    Ok(translated_cost(tr.ctx, std::iter::once(&tr.expr)))
 }
 
 #[cfg(test)]
@@ -479,6 +553,23 @@ mod tests {
             "sum(WH) should cost ~vector work, got {} ({shown})",
             got.cost_after
         );
+    }
+
+    #[test]
+    fn shape_errors_name_no_statement() {
+        // one expression is the one-root case of the multi-root pipeline;
+        // the text a mis-shaped input is refused with must not show it
+        let mut arena = ExprArena::new();
+        let root = parse_expr(&mut arena, "X %*% Y").unwrap();
+        let vs = vars(&[("X", (3, 4), 1.0), ("Y", (5, 6), 1.0)]);
+        let err = Optimizer::default()
+            .optimize(&arena, root, &vs)
+            .unwrap_err();
+        assert_eq!(
+            err.0,
+            "shape error at node NodeId(2): matmul mismatch 3x4 %*% 5x6"
+        );
+        assert_eq!(plan_cost(&arena, root, &vs).unwrap_err().0, err.0);
     }
 
     #[test]

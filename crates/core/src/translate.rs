@@ -47,6 +47,13 @@ impl fmt::Display for TranslateError {
 
 impl std::error::Error for TranslateError {}
 
+impl TranslateError {
+    /// The error as reported for statement `name` of a workload.
+    pub(crate) fn in_statement(self, name: Symbol) -> TranslateError {
+        TranslateError(format!("{name}: {}", self.0))
+    }
+}
+
 /// A translated fragment: a node in the RA expression plus the attribute
 /// names of its (up to two) free dimensions.
 #[derive(Copy, Clone, Debug)]
@@ -137,7 +144,92 @@ struct Translator<'a> {
     frag_sizes: FxHashMap<Id, usize>,
 }
 
+/// One translated root: relational plan, result `(row, col)` attributes,
+/// LA shape.
+pub(crate) type RootPlan = (MathExpr, Option<Symbol>, Option<Symbol>, Shape);
+
+/// Translate `roots` through ONE translator — the body of
+/// [`translate_workload`], without the statement names: a shape error
+/// carries the position of the offending root instead.
+pub(crate) fn translate_roots(
+    arena: &ExprArena,
+    roots: &[NodeId],
+    vars: &HashMap<Symbol, VarMeta>,
+) -> Result<(Vec<RootPlan>, Context), (usize, TranslateError)> {
+    let mut tr = Translator::new(arena, roots, vars)?;
+    // RecExpr extraction re-numbers nodes per root; sharing is restored
+    // when the roots are added to one hash-consing e-graph.
+    let plans = roots
+        .iter()
+        .map(|&root| {
+            let f = tr.tr(root);
+            let expr = MathExpr::extract(&tr.builder.expr, f.id);
+            (expr, f.row, f.col, tr.shape(root))
+        })
+        .collect();
+    Ok((plans, tr.into_context()))
+}
+
 impl<'a> Translator<'a> {
+    /// A translator over the sub-DAGs of `roots` (which the arena may
+    /// interleave): every reachable node's shape inferred, nothing
+    /// translated yet. A shape error comes back with the position of the
+    /// root it was found under.
+    fn new(
+        arena: &'a ExprArena,
+        roots: &[NodeId],
+        vars: &'a HashMap<Symbol, VarMeta>,
+    ) -> Result<Self, (usize, TranslateError)> {
+        let env: spores_ir::ShapeEnv = vars.iter().map(|(&k, v)| (k, v.shape)).collect();
+        let mut shapes: Vec<Option<Shape>> = Vec::new();
+        for (i, &root) in roots.iter().enumerate() {
+            let inferred = arena
+                .infer_shapes(root, &env)
+                .map_err(|e| (i, TranslateError(e.to_string())))?;
+            if i == 0 {
+                shapes = inferred;
+            } else {
+                for (known, s) in shapes.iter_mut().zip(inferred) {
+                    *known = known.or(s);
+                }
+            }
+        }
+        Ok(Translator {
+            arena,
+            shapes,
+            vars,
+            builder: Builder::default(),
+            index_dims: FxHashMap::default(),
+            counter: 0,
+            memo: FxHashMap::default(),
+            frag_sizes: FxHashMap::default(),
+        })
+    }
+
+    /// The analysis context of what was translated: the variable
+    /// metadata plus the dimension of every index minted.
+    fn into_context(self) -> Context {
+        let mut ctx = Context::new();
+        for (&name, &meta) in self.vars {
+            ctx.vars.insert(name, meta);
+        }
+        ctx.index_dims = self.index_dims;
+        ctx
+    }
+
+    /// Package `frag`, shaped like the LA node `like`, as a [`Translation`].
+    fn finish(self, like: NodeId, frag: Frag) -> Translation {
+        Translation {
+            // the RecExpr root must be the last node: extract the
+            // reachable sub-term to guarantee it
+            expr: MathExpr::extract(&self.builder.expr, frag.id),
+            row: frag.row,
+            col: frag.col,
+            shape: self.shape(like),
+            ctx: self.into_context(),
+        }
+    }
+
     fn fresh(&mut self, dim: u64) -> Symbol {
         loop {
             let s = Symbol::new(&format!("i{}", self.counter));
@@ -399,48 +491,12 @@ pub fn translate_pair(
     rhs: NodeId,
     vars: &HashMap<Symbol, VarMeta>,
 ) -> Result<Translation, TranslateError> {
-    let env: spores_ir::ShapeEnv = vars.iter().map(|(&k, v)| (k, v.shape)).collect();
-    // infer shapes for both roots (the arena may interleave them)
-    let shapes_l = arena
-        .infer_shapes(lhs, &env)
-        .map_err(|e| TranslateError(e.to_string()))?;
-    let shapes_r = arena
-        .infer_shapes(rhs, &env)
-        .map_err(|e| TranslateError(e.to_string()))?;
-    let mut shapes = shapes_l;
-    for (i, s) in shapes_r.into_iter().enumerate() {
-        if shapes[i].is_none() {
-            shapes[i] = s;
-        }
-    }
-    let mut tr = Translator {
-        arena,
-        shapes,
-        vars,
-        builder: Builder::default(),
-        index_dims: FxHashMap::default(),
-        counter: 0,
-        memo: FxHashMap::default(),
-        frag_sizes: FxHashMap::default(),
-    };
+    let mut tr = Translator::new(arena, &[lhs, rhs], vars).map_err(|(_, e)| e)?;
     let fl = tr.tr(lhs);
     let fr = tr.tr(rhs);
     // align rhs attributes onto lhs (they denote the same dimensions)
     let combined = tr.pointwise2(fl, fr, Math::Add);
-    let shape = tr.shape(lhs);
-    let expr = MathExpr::extract(&tr.builder.expr, combined.id);
-    let mut ctx = Context::new();
-    for (&name, &meta) in vars {
-        ctx.vars.insert(name, meta);
-    }
-    ctx.index_dims = tr.index_dims;
-    Ok(Translation {
-        expr,
-        row: combined.row,
-        col: combined.col,
-        shape,
-        ctx,
-    })
+    Ok(tr.finish(lhs, combined))
 }
 
 /// One statement of a translated workload: its relational plan plus the
@@ -476,52 +532,20 @@ pub fn translate_workload(
     roots: &[(Symbol, NodeId)],
     vars: &HashMap<Symbol, VarMeta>,
 ) -> Result<WorkloadTranslation, TranslateError> {
-    let env: spores_ir::ShapeEnv = vars.iter().map(|(&k, v)| (k, v.shape)).collect();
-    // merged shape inference: the arena interleaves the roots' sub-DAGs
-    let mut shapes: Vec<Option<Shape>> = vec![None; arena.len()];
-    for &(name, root) in roots {
-        let inferred = arena
-            .infer_shapes(root, &env)
-            .map_err(|e| TranslateError(format!("{name}: {e}")))?;
-        for (i, s) in inferred.into_iter().enumerate() {
-            if shapes[i].is_none() {
-                shapes[i] = s;
-            }
-        }
-    }
-    let mut tr = Translator {
-        arena,
-        shapes,
-        vars,
-        builder: Builder::default(),
-        index_dims: FxHashMap::default(),
-        counter: 0,
-        memo: FxHashMap::default(),
-        frag_sizes: FxHashMap::default(),
-    };
-    let mut out = Vec::with_capacity(roots.len());
-    for &(name, root) in roots {
-        let frag = tr.tr(root);
-        let shape = tr.shape(root);
-        out.push((name, frag, shape));
-    }
-    // RecExpr extraction re-numbers nodes per root; sharing is restored
-    // when the roots are added to one hash-consing e-graph.
-    let roots = out
-        .into_iter()
-        .map(|(name, frag, shape)| RootTranslation {
+    let ids: Vec<NodeId> = roots.iter().map(|&(_, root)| root).collect();
+    let (plans, ctx) =
+        translate_roots(arena, &ids, vars).map_err(|(i, e)| e.in_statement(roots[i].0))?;
+    let roots = roots
+        .iter()
+        .zip(plans)
+        .map(|(&(name, _), (expr, row, col, shape))| RootTranslation {
             name,
-            expr: MathExpr::extract(&tr.builder.expr, frag.id),
-            row: frag.row,
-            col: frag.col,
+            expr,
+            row,
+            col,
             shape,
         })
         .collect();
-    let mut ctx = Context::new();
-    for (&name, &meta) in vars {
-        ctx.vars.insert(name, meta);
-    }
-    ctx.index_dims = tr.index_dims;
     Ok(WorkloadTranslation { roots, ctx })
 }
 
@@ -531,40 +555,9 @@ pub fn translate(
     root: NodeId,
     vars: &HashMap<Symbol, VarMeta>,
 ) -> Result<Translation, TranslateError> {
-    let env: spores_ir::ShapeEnv = vars.iter().map(|(&k, v)| (k, v.shape)).collect();
-    let shapes = arena
-        .infer_shapes(root, &env)
-        .map_err(|e| TranslateError(e.to_string()))?;
-    let mut tr = Translator {
-        arena,
-        shapes,
-        vars,
-        builder: Builder::default(),
-        index_dims: FxHashMap::default(),
-        counter: 0,
-        memo: FxHashMap::default(),
-        frag_sizes: FxHashMap::default(),
-    };
+    let mut tr = Translator::new(arena, &[root], vars).map_err(|(_, e)| e)?;
     let frag = tr.tr(root);
-    let shape = tr.shape(root);
-
-    // The RecExpr root must be the last node; extract the reachable
-    // sub-term to guarantee it.
-    let expr = MathExpr::extract(&tr.builder.expr, frag.id);
-
-    let mut ctx = Context::new();
-    for (&name, &meta) in vars {
-        ctx.vars.insert(name, meta);
-    }
-    ctx.index_dims = tr.index_dims;
-
-    Ok(Translation {
-        expr,
-        row: frag.row,
-        col: frag.col,
-        shape,
-        ctx,
-    })
+    Ok(tr.finish(root, frag))
 }
 
 #[cfg(test)]

@@ -1,35 +1,32 @@
 //! Workload-level optimization: all statements in ONE e-graph.
 //!
-//! The per-statement pipeline ([`Optimizer::optimize`]) pays a full
-//! translate → saturate → extract → lower pass per statement and cannot
-//! see sharing *across* statements — PNMF's `W %*% H` appears in three
-//! statements and is re-derived (and re-paid) three times. This module
-//! adds the workload mode:
+//! A SystemML program is a multi-rooted DAG, and the pipeline
+//! ([`crate::optimizer`]) is written over any number of roots. Run per
+//! statement it pays a full translate → saturate → extract → lower pass
+//! each time and cannot see sharing *across* statements — PNMF's
+//! `W %*% H` appears in three statements and is re-derived (and re-paid)
+//! three times. Handing it every statement of a [`WorkloadExpr`] at once
+//! is workload mode:
 //!
-//! 1. translate every statement of a [`WorkloadExpr`] with one
-//!    translator ([`translate_workload`]), so repeated LA sub-DAGs map
-//!    to identical RA fragments;
-//! 2. saturate **once** over a single e-graph holding every statement
+//! 1. one translator for every statement, so repeated LA sub-DAGs map to
+//!    identical RA fragments;
+//! 2. **one** saturation over a single e-graph holding every statement
 //!    root — one rule-matching pass over the union instead of N passes
 //!    over overlapping graphs;
-//! 3. extract one multi-root plan whose DAG cost pays each shared
-//!    e-class once across roots ([`extract_greedy_multi`] /
-//!    [`extract_ilp_multi`]);
-//! 4. lower into one shared arena where common subplans are bound once
-//!    ([`lower_workload`]) — `spores-exec`'s `run_many` then computes
-//!    them once per pass.
+//! 3. one multi-root plan whose DAG cost pays each shared e-class once
+//!    across roots;
+//! 4. one shared arena where common subplans are bound once —
+//!    `spores-exec`'s `run_many` then computes them once per pass.
+//!
+//! This module holds the multi-root result type and entry point;
+//! [`Optimizer::optimize`] is the same run over one root.
 
-use crate::analysis::{MathGraph, MetaAnalysis, VarMeta};
-use crate::cost::NnzCost;
-use crate::extract::{extract_greedy_multi, extract_ilp_multi, IlpStats};
-use crate::lower::lower_workload;
-use crate::optimizer::{plan_cost, ExtractorKind, Optimizer, PhaseTimings, SaturationStats};
-use crate::rules::default_rules;
-use crate::translate::{translate_workload, TranslateError};
-use spores_egraph::{Extractor, Id, Runner};
+use crate::analysis::VarMeta;
+use crate::extract::IlpStats;
+use crate::optimizer::{plan_cost, Optimizer, PhaseTimings, SaturationStats};
+use crate::translate::TranslateError;
 use spores_ir::{ExprArena, NodeId, Symbol, WorkloadExpr};
 use std::collections::HashMap;
-use std::time::Instant;
 
 /// The workload optimizer's output: one shared multi-root plan.
 #[derive(Clone, Debug)]
@@ -76,187 +73,21 @@ impl Optimizer {
         workload: &WorkloadExpr,
         vars: &HashMap<Symbol, VarMeta>,
     ) -> Result<WorkloadOptimized, TranslateError> {
-        let cfg = &self.config;
-        if cfg.telemetry {
-            spores_telemetry::set_enabled(true);
-        }
-
-        // ---- translate (one translator for all statements) -------------
-        let span = spores_telemetry::span!("optimize.translate", roots = workload.roots.len());
-        let t0 = Instant::now();
-        let wt = translate_workload(&workload.arena, &workload.roots, vars)?;
-        let t_translate = t0.elapsed();
-        drop(span);
-
-        // ---- saturate (one e-graph, every statement a root) ------------
-        let span = spores_telemetry::span!("optimize.saturate");
-        let t0 = Instant::now();
-        let rules = match &self.rules {
-            Some(r) => r.clone(),
-            None => default_rules(),
-        };
-        // The sampling scheduler caps match applications *per rule per
-        // iteration*; a union graph of N statements has ~N× the match
-        // surface, so an unscaled cap would need ~N× the iterations —
-        // and every extra iteration re-searches the whole union. With
-        // region freezing (the default) the runner scales the cap by
-        // the number of *active* statement regions each iteration — the
-        // per-statement application rate of the per-statement pipeline
-        // while every statement is live, shrinking as statements
-        // converge — and drops converged regions' classes from every
-        // rule's candidate set. With freezing disabled we recover the
-        // old crude behaviour: cap scaled by the statement count for
-        // the whole run, every class searched every iteration.
-        let scheduler = if cfg.region_freezing {
-            cfg.scheduler.clone()
-        } else {
-            match cfg.scheduler.clone() {
-                spores_egraph::Scheduler::Sampling { match_limit, seed } => {
-                    spores_egraph::Scheduler::Sampling {
-                        match_limit: match_limit * workload.roots.len().max(1),
-                        seed,
-                    }
-                }
-                s => s,
-            }
-        };
-        let mut runner = Runner::new(MetaAnalysis::new(wt.ctx.clone()))
-            .with_scheduler(scheduler)
-            .with_iter_limit(cfg.iter_limit)
-            .with_node_limit(cfg.node_limit)
-            .with_time_limit(cfg.time_limit)
-            .with_parallel(cfg.parallel)
-            .with_matching(cfg.matching);
-        if cfg.region_freezing {
-            runner = runner.with_regions(spores_egraph::RegionConfig::default());
-        }
-        if let Some(priors) = cfg.rule_priors.clone() {
-            runner = runner.with_rule_priors(priors);
-        }
-        for rt in &wt.roots {
-            runner = runner.with_expr(&rt.expr);
-        }
-        let runner = runner.run(&rules);
-        let t_saturate = t0.elapsed();
-        drop(span);
-        let saturation = SaturationStats {
-            iterations: runner.iterations.len(),
-            e_nodes: runner.egraph.total_number_of_nodes(),
-            e_classes: runner.egraph.number_of_classes(),
-            // RegionsConverged is workload mode's saturation: every
-            // statement region reached the same per-region fixpoint the
-            // per-statement pipeline stops on.
-            converged: matches!(
-                runner.stop_reason,
-                Some(spores_egraph::StopReason::Saturated)
-                    | Some(spores_egraph::StopReason::RegionsConverged)
-            ),
-            stop_reason: runner.stop_reason.clone(),
-            candidates_visited: runner
-                .iterations
-                .iter()
-                .flat_map(|it| &it.rules)
-                .map(|r| r.candidates)
-                .sum(),
-            matches_found: runner.iterations.iter().map(|it| it.matches_found).sum(),
-            region_frozen_iters: runner
-                .iterations
-                .iter()
-                .map(|it| it.frozen_regions.iter().filter(|&&f| f).count())
-                .sum(),
-        };
-        let eroots = runner.roots.clone();
-        let egraph = runner.egraph;
-
-        // summed cost of the input plans (the before/after reference)
-        let cost_before = {
-            let mut pre = MathGraph::new(MetaAnalysis::new(wt.ctx.clone()));
-            let ids: Vec<Id> = wt.roots.iter().map(|rt| pre.add_expr(&rt.expr)).collect();
-            pre.rebuild();
-            let ext = Extractor::new(&pre, NnzCost);
-            ids.iter()
-                .map(|&id| ext.best_cost(id).unwrap_or(f64::INFINITY))
-                .sum()
-        };
-
-        // ---- extract one multi-root plan --------------------------------
-        let t0 = Instant::now();
-        let mut ilp_stats = None;
-        let extracted = match cfg.extractor {
-            ExtractorKind::Greedy => {
-                let _span = spores_telemetry::span!("optimize.extract.greedy");
-                extract_greedy_multi(&egraph, &eroots)
-            }
-            ExtractorKind::Ilp => {
-                let mut span =
-                    spores_telemetry::span!("optimize.extract.ilp", e_nodes = saturation.e_nodes,);
-                let solver = spores_ilp::Solver {
-                    time_limit: cfg.ilp_time_limit,
-                    ..spores_ilp::Solver::default()
-                };
-                extract_ilp_multi(&egraph, &eroots, &solver).map(|(c, e, ids, s)| {
-                    span.arg("n_vars", s.n_vars);
-                    span.arg("rounds", s.rounds);
-                    span.arg("optimal", s.optimal);
-                    if let Some(w) = s.warm_start {
-                        span.arg("warm_start", w);
-                    }
-                    ilp_stats = Some(s);
-                    (c, e, ids)
-                })
-            }
-        };
-        let t_extract = t0.elapsed();
-
-        // ---- lower into one shared arena --------------------------------
-        let span = spores_telemetry::span!("optimize.lower");
-        let t0 = Instant::now();
-        let lowered = extracted.as_ref().and_then(|(_, expr, ids)| {
-            let specs: Vec<(Id, Option<Symbol>, Option<Symbol>)> = ids
-                .iter()
-                .zip(&wt.roots)
-                .map(|(&id, rt)| (id, rt.row, rt.col))
-                .collect();
-            lower_workload(expr, &specs, &wt.ctx).ok()
-        });
-        let t_lower = t0.elapsed();
-        drop(span);
-
-        let timings = PhaseTimings {
-            translate: t_translate,
-            saturate: t_saturate,
-            extract: t_extract,
-            lower: t_lower,
-        };
-
-        let names: Vec<Symbol> = workload.roots.iter().map(|&(n, _)| n).collect();
-        match (extracted, lowered) {
-            (Some((cost_after, _, _)), Some(low)) => Ok(WorkloadOptimized {
-                arena: low.arena,
-                roots: names.into_iter().zip(low.roots).collect(),
-                timings,
-                saturation,
-                cost_before,
-                cost_after,
-                ilp: ilp_stats,
-                fell_back: false,
-                size_polymorphic: !low.dim_constants,
-            }),
-            _ => {
-                // extraction or lowering failed: return the input bundle
-                Ok(WorkloadOptimized {
-                    arena: workload.arena.clone(),
-                    roots: workload.roots.clone(),
-                    timings,
-                    saturation,
-                    cost_before,
-                    cost_after: cost_before,
-                    ilp: ilp_stats,
-                    fell_back: true,
-                    size_polymorphic: false,
-                })
-            }
-        }
+        let (names, roots): (Vec<Symbol>, Vec<NodeId>) = workload.roots.iter().copied().unzip();
+        let p = self
+            .pipeline(&workload.arena, &roots, vars)
+            .map_err(|(i, e)| e.in_statement(names[i]))?;
+        Ok(WorkloadOptimized {
+            arena: p.arena,
+            roots: names.into_iter().zip(p.roots).collect(),
+            timings: p.timings,
+            saturation: p.saturation,
+            cost_before: p.cost_before,
+            cost_after: p.cost_after,
+            ilp: p.ilp,
+            fell_back: p.fell_back,
+            size_polymorphic: p.size_polymorphic,
+        })
     }
 }
 
@@ -280,7 +111,7 @@ pub fn workload_plan_cost(
 mod tests {
     use super::*;
     use crate::eval::{eval_la, Tensor};
-    use crate::optimizer::OptimizerConfig;
+    use crate::optimizer::{ExtractorKind, OptimizerConfig};
     use spores_ir::parse_expr;
 
     fn vars(list: &[(&str, (u64, u64), f64)]) -> HashMap<Symbol, VarMeta> {
@@ -447,54 +278,28 @@ mod tests {
         assert!(stats.warm_start.is_some());
     }
 
-    #[test]
-    fn single_statement_workload_matches_optimize() {
-        let src = "sum((X - u %*% t(v))^2)";
-        let vs = vars(&[
-            ("X", (1000, 500), 0.001),
-            ("u", (1000, 1), 1.0),
-            ("v", (500, 1), 1.0),
-        ]);
-        let mut arena = ExprArena::new();
-        let root = parse_expr(&mut arena, src).unwrap();
-        let opt = optimizer(ExtractorKind::Greedy);
-        let single = opt.optimize(&arena, root, &vs).unwrap();
-        let whole = opt
-            .optimize_workload(&bundle(&[("loss", src)]), &vs)
-            .unwrap();
-        assert!(!whole.fell_back);
-        // same pipeline, same plan
-        assert_eq!(
-            whole.arena.display(whole.roots[0].1),
-            single.arena.display(single.root)
-        );
-    }
-
     /// Per-region convergence freezing: statement `a` (a bare
     /// transpose) saturates within a couple of iterations while the
     /// headline statement `b` needs many more. The fast region must
-    /// freeze (visible in `region_frozen_iters`), the run must converge
-    /// region-by-region, and the extracted multi-root plan must match
-    /// the non-freezing run: same per-root plans, same DAG cost.
+    /// freeze (visible in `region_frozen_iters`) and the run must
+    /// converge region-by-region. (That freezing changes how much is
+    /// searched and never what is planned is checked on the runner,
+    /// `converged_region_freezes_and_plans_are_unchanged`.)
     #[test]
-    fn converged_statement_region_freezes_without_changing_the_plan() {
+    fn converged_statement_region_freezes() {
         let stmts = [("a", "t(t(Y))"), ("b", "sum(W %*% H)")];
         let vs = vars(&[
             ("Y", (40, 30), 1.0),
             ("W", (5000, 10), 1.0),
             ("H", (10, 3000), 1.0),
         ]);
-        let run = |freeze: bool| {
-            let opt = Optimizer::new(OptimizerConfig {
-                extractor: ExtractorKind::Greedy,
-                node_limit: 8_000,
-                iter_limit: 30,
-                region_freezing: freeze,
-                ..OptimizerConfig::default()
-            });
-            opt.optimize_workload(&bundle(&stmts), &vs).unwrap()
-        };
-        let frozen = run(true);
+        let opt = Optimizer::new(OptimizerConfig {
+            extractor: ExtractorKind::Greedy,
+            node_limit: 8_000,
+            iter_limit: 30,
+            ..OptimizerConfig::default()
+        });
+        let frozen = opt.optimize_workload(&bundle(&stmts), &vs).unwrap();
         assert!(!frozen.fell_back);
         assert!(frozen.saturation.converged, "workload must converge");
         // statement a freezes within a few iterations and never thaws
@@ -507,26 +312,21 @@ mod tests {
             frozen.saturation.region_frozen_iters,
             frozen.saturation.iterations
         );
-        let plain = run(false);
-        assert!(!plain.fell_back);
-        assert_eq!(plain.saturation.region_frozen_iters, 0);
-        // freezing changes how much is searched, never what is planned
-        for (f, p) in frozen.roots.iter().zip(&plain.roots) {
-            assert_eq!(f.0, p.0);
-            assert_eq!(
-                frozen.arena.display(f.1),
-                plain.arena.display(p.1),
-                "statement {} plan changed under freezing",
-                f.0
-            );
-        }
-        let rel = (frozen.cost_after - plain.cost_after).abs() / plain.cost_after.max(1.0);
-        assert!(
-            rel < 1e-9,
-            "plan cost changed under freezing: {} vs {}",
-            frozen.cost_after,
-            plain.cost_after
+    }
+
+    #[test]
+    fn shape_errors_name_the_statement() {
+        let w = bundle(&[("ok", "sum(X)"), ("bad", "X %*% Y")]);
+        let vs = vars(&[("X", (3, 4), 1.0), ("Y", (5, 6), 1.0)]);
+        let err = optimizer(ExtractorKind::Greedy)
+            .optimize_workload(&w, &vs)
+            .unwrap_err();
+        assert_eq!(
+            err.0,
+            "bad: shape error at node NodeId(3): matmul mismatch 3x4 %*% 5x6"
         );
+        let translated = crate::translate_workload(&w.arena, &w.roots, &vs).unwrap_err();
+        assert_eq!(translated.0, err.0);
     }
 
     #[test]
