@@ -2,20 +2,14 @@
 //! e-graph insertion/rebuild throughput, full saturation of the paper's
 //! headline expression under both schedulers, and indexed-vs-naive
 //! e-matching on saturated graphs of the evaluation workload shapes.
-//!
-//! With `--snapshot` (or `--snapshot-only`, which skips the criterion
-//! benches) this target also writes a machine-readable
-//! `BENCH_saturation.json` snapshot (indexed vs naive matching times per
-//! workload) to the repository root so later changes have a perf
-//! trajectory to compare against. A plain `cargo bench` never touches
-//! the committed snapshot.
+//! (That the three matchers *agree* on those shapes is a test:
+//! `indexed_matching_agrees_with_naive_on_real_rules` in `spores-core`.)
 
-use criterion::{criterion_group, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use spores_core::analysis::{Context, MetaAnalysis, VarMeta};
 use spores_core::{default_rules, parse_math, MathRewrite};
-use spores_egraph::{Runner, Scheduler};
+use spores_egraph::{MatchingMode, Runner, Scheduler};
 use std::hint::black_box;
-use std::time::Instant;
 
 fn ctx() -> Context {
     Context::new()
@@ -81,7 +75,10 @@ fn search_all_naive(rules: &[MathRewrite], eg: &spores_core::analysis::MathGraph
 fn search_all_relational(rules: &[MathRewrite], eg: &spores_core::analysis::MathGraph) -> usize {
     rules
         .iter()
-        .map(|r| r.search_relational_with_stats(eg).0.len())
+        .map(|r| {
+            let ids = r.except_candidate_ids(eg, &Default::default());
+            r.search_ids(eg, &ids, MatchingMode::Relational).0.len()
+        })
         .sum()
 }
 
@@ -149,122 +146,5 @@ fn bench_matching(c: &mut Criterion) {
     group.finish();
 }
 
-/// Time `f` robustly: `batches` batches of `reps` repetitions each,
-/// returning the *minimum* batch mean in ns. On a shared single-core
-/// host the mean of one batch is contaminated by scheduler and
-/// frequency jitter; the minimum over several batches is the stable
-/// estimator of the code's actual cost.
-fn time_ns<R>(batches: u32, reps: u32, mut f: impl FnMut() -> R) -> u64 {
-    black_box(f()); // warm-up
-    let mut best = u64::MAX;
-    for _ in 0..batches {
-        let start = Instant::now();
-        for _ in 0..reps {
-            black_box(f());
-        }
-        best = best.min((start.elapsed().as_nanos() / u128::from(reps)) as u64);
-    }
-    best
-}
-
-/// Write the `BENCH_saturation.json` perf snapshot to the repo root.
-///
-/// The three matchers are differentially checked before timing: the
-/// relational (generic-join) backend must report the same match count
-/// *and* the same visited-candidate total as the structural compiled
-/// matcher (the funnel contract), and both must agree with
-/// `naive_search`. `host_cores` is recorded so downstream tooling can
-/// gate any scaling interpretation on multi-core hosts.
-fn emit_snapshot() {
-    const BATCHES: u32 = 7;
-    const REPS: u32 = 20;
-    let rules = default_rules();
-    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut entries = Vec::new();
-    for (name, expr) in workload_exprs() {
-        let eg = saturated(&expr);
-        let matches = search_all_indexed(&rules, &eg);
-        assert_eq!(
-            matches,
-            search_all_naive(&rules, &eg),
-            "indexed and naive matchers disagree on {name}"
-        );
-        assert_eq!(
-            matches,
-            search_all_relational(&rules, &eg),
-            "relational and indexed matchers disagree on {name}"
-        );
-        let candidates: usize = rules.iter().map(|r| r.search_with_stats(&eg).1).sum();
-        let rel_candidates: usize = rules
-            .iter()
-            .map(|r| r.search_relational_with_stats(&eg).1)
-            .sum();
-        assert_eq!(
-            candidates, rel_candidates,
-            "relational funnel accounting diverged on {name}"
-        );
-        let indexed_ns = time_ns(BATCHES, REPS, || search_all_indexed(&rules, &eg));
-        let naive_ns = time_ns(BATCHES, REPS, || search_all_naive(&rules, &eg));
-        let relational_ns = time_ns(BATCHES, REPS, || search_all_relational(&rules, &eg));
-        let speedup = naive_ns as f64 / indexed_ns as f64;
-        let rel_speedup = indexed_ns as f64 / relational_ns as f64;
-        println!(
-            "matching snapshot {name:>8}: classes {:>5}  indexed {:>9} ns  naive {:>9} ns  relational {:>9} ns  rel-speedup {rel_speedup:.2}x",
-            eg.number_of_classes(),
-            indexed_ns,
-            naive_ns,
-            relational_ns,
-        );
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"workload\": \"{}\",\n",
-                "      \"classes\": {},\n",
-                "      \"nodes\": {},\n",
-                "      \"rules\": {},\n",
-                "      \"matches\": {},\n",
-                "      \"candidates_visited\": {},\n",
-                "      \"indexed_ns\": {},\n",
-                "      \"naive_ns\": {},\n",
-                "      \"speedup\": {:.3},\n",
-                "      \"relational_ns\": {},\n",
-                "      \"relational_speedup_vs_indexed\": {:.3}\n",
-                "    }}"
-            ),
-            name,
-            eg.number_of_classes(),
-            eg.total_number_of_nodes(),
-            rules.len(),
-            matches,
-            candidates,
-            indexed_ns,
-            naive_ns,
-            speedup,
-            relational_ns,
-            rel_speedup,
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"saturation/matching\",\n  \"reps\": {REPS},\n  \"batches\": {BATCHES},\n  \"host_cores\": {host_cores},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        entries.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_saturation.json");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
 criterion_group!(benches, bench_add_rebuild, bench_saturation, bench_matching);
-
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if args
-        .iter()
-        .any(|a| a == "--snapshot" || a == "--snapshot-only")
-    {
-        emit_snapshot();
-    }
-    if args.iter().any(|a| a == "--snapshot-only") {
-        return;
-    }
-    benches();
-}
+criterion_main!(benches);

@@ -178,7 +178,7 @@ mod tests {
     use super::*;
     use crate::analysis::{Context, MathGraph, MetaAnalysis, VarMeta};
     use crate::lang::parse_math;
-    use spores_egraph::{Runner, Scheduler};
+    use spores_egraph::{MatchingMode, Runner, Scheduler};
 
     fn ctx() -> Context {
         Context::new()
@@ -303,24 +303,57 @@ mod tests {
 
     #[test]
     fn indexed_matching_agrees_with_naive_on_real_rules() {
-        // Every default rule, run against a saturated graph of the
-        // paper's headline shape: the op-head-indexed compiled matcher
-        // must produce exactly the interpreted all-classes result.
-        let (_, eg) =
-            saturate("(sum i (sum j (pow (+ (b i j X) (* -1 (* (b i _ U) (b j _ V)))) 2)))");
-        for rule in default_rules() {
-            let (indexed, candidates) = rule.search_with_stats(&eg);
-            let naive = rule.searcher.naive_search(&eg);
-            assert_eq!(indexed.len(), naive.len(), "rule {}", rule.name);
-            for (a, b) in indexed.iter().zip(&naive) {
-                assert_eq!(a.eclass, b.eclass, "rule {}", rule.name);
-                assert_eq!(a.substs, b.substs, "rule {}", rule.name);
+        // Every default rule, run against sampled saturations of the
+        // evaluation workloads' hot shapes: the three matchers must
+        // agree — the op-head-indexed compiled machine and the
+        // relational generic join produce exactly the interpreted
+        // all-classes result, and both visit the same candidates.
+        let shapes = [
+            // §1 headline: sum((X − U Vᵀ)²)
+            "(sum i (sum j (pow (+ (b i j X) (* -1 (* (b i _ U) (b j _ V)))) 2)))",
+            // ALS residual step: (U Vᵀ − X) V
+            "(sum j (* (+ (* (b i _ U) (b j _ V)) (* -1 (b i j X))) (b j _ V)))",
+            // PNMF objective term: sum(W H)
+            "(sum i (sum j (* (b i _ U) (b j _ V))))",
+            // GLM-style weighted inner product: sum(X ⊙ u vᵀ)
+            "(sum i (sum j (* (b i j X) (* (b i _ U) (b j _ V)))))",
+            // MLR-style link function under aggregation
+            "(sum i (sigmoid (* (b i j X) (b j _ V))))",
+        ];
+        let rules = default_rules();
+        for shape in shapes {
+            let eg = Runner::new(MetaAnalysis::new(ctx()))
+                .with_expr(&parse_math(shape).unwrap())
+                .with_scheduler(Scheduler::Sampling {
+                    match_limit: 40,
+                    seed: 1,
+                })
+                .with_node_limit(5_000)
+                .with_iter_limit(8)
+                .run(&rules)
+                .egraph;
+            for rule in &rules {
+                let ids = rule.except_candidate_ids(&eg, &Default::default());
+                let (indexed, candidates) = rule.search_ids(&eg, &ids, MatchingMode::Structural);
+                let (relational, rel_candidates) =
+                    rule.search_ids(&eg, &ids, MatchingMode::Relational);
+                let naive = rule.searcher.naive_search(&eg);
+                let what = format!("rule {} on {shape}", rule.name);
+                assert_eq!(candidates, rel_candidates, "{what}");
+                assert_eq!(indexed.len(), naive.len(), "{what}");
+                assert_eq!(relational.len(), naive.len(), "{what}");
+                for ((a, r), n) in indexed.iter().zip(&relational).zip(&naive) {
+                    assert_eq!(a.eclass, n.eclass, "{what}");
+                    assert_eq!(a.substs, n.substs, "{what}");
+                    assert_eq!(r.eclass, n.eclass, "{what}");
+                    assert_eq!(r.substs, n.substs, "{what}");
+                }
+                assert!(
+                    candidates <= eg.number_of_classes(),
+                    "rule {} visited more candidates than classes",
+                    rule.name
+                );
             }
-            assert!(
-                candidates <= eg.number_of_classes(),
-                "rule {} visited more candidates than classes",
-                rule.name
-            );
         }
     }
 

@@ -113,7 +113,7 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     /// a pattern match whose sub-term changed is re-findable from its
     /// root. On a clean graph all ids are canonical and the set is
     /// closed under parents; delta e-matching
-    /// ([`crate::Pattern::search_delta_with_stats`]) restricts the
+    /// ([`crate::Pattern::delta_candidate_ids`]) restricts the
     /// op-head candidates to this set.
     dirty: FxHashSet<Id>,
     n_unions: usize,

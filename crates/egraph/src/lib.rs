@@ -43,7 +43,7 @@ pub use rewrite::{
     RewriteError,
 };
 pub use runner::{
-    search_rules_parallel, BackoffConfig, Iteration, ParallelConfig, RegionConfig, RuleIterStats,
-    Runner, Scheduler, StopReason,
+    search_rules_parallel, Iteration, ParallelConfig, RegionConfig, RuleIterStats, Runner,
+    Scheduler, SearchPlan, StopReason,
 };
 pub use unionfind::UnionFind;

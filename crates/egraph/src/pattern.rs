@@ -195,19 +195,12 @@ impl<L: Language> Program<L> {
     }
 
     /// Run the program with `eclass` (canonical) in the root register,
-    /// collecting one [`Subst`] per successful execution path.
-    fn run<A: Analysis<L>>(&self, egraph: &EGraph<L, A>, eclass: Id) -> Vec<Subst> {
-        let mut regs = Vec::new();
-        let mut out = Vec::new();
-        self.run_into(egraph, eclass, &mut regs, &mut out);
-        out
-    }
-
-    /// Like [`Program::run`], but reusing caller-provided scratch
-    /// buffers: the search loop visits thousands of candidate classes
+    /// appending one [`Subst`] per successful execution path to `out`
+    /// (which must be empty on entry). The scratch buffers are the
+    /// caller's: the search loop visits thousands of candidate classes
     /// per iteration and most produce no match, so allocating a fresh
-    /// register file (and output vector) per class dominates the cheap
-    /// executions. `out` must be empty on entry; matches are appended.
+    /// register file (and output vector) per class would dominate the
+    /// cheap executions.
     fn run_into<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
@@ -332,26 +325,20 @@ impl<L: Language> Pattern<L> {
         }
     }
 
-    /// Search for matches, visiting only the classes the op-head index
-    /// proposes for the pattern root instead of every e-class.
+    /// Full sweep on the structural backend: search the classes the
+    /// op-head index proposes for the pattern root (not every e-class).
+    /// This is [`Pattern::search_ids`] over
+    /// [`Pattern::except_candidate_ids`] with nothing excluded.
     pub fn search<A: Analysis<L>>(&self, egraph: &EGraph<L, A>) -> Vec<SearchMatches> {
-        self.search_with_stats(egraph).0
+        self.search_candidates(egraph, &self.candidates(egraph)).0
     }
 
-    /// Like [`Pattern::search`], also reporting how many candidate
-    /// classes the op-head index proposed (the classes actually visited).
-    pub fn search_with_stats<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-    ) -> (Vec<SearchMatches>, usize) {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let candidates = self.candidates(egraph);
-        self.search_candidates(egraph, candidates.iter().copied())
-    }
-
-    /// Delta search: like [`Pattern::search_with_stats`] but restricted
-    /// to the classes in `dirty` — the op-head candidates for the
-    /// pattern root intersected with the dirty set.
+    /// The exact candidate list delta search visits: the op-head
+    /// candidates for the pattern root intersected with the dirty set,
+    /// in ascending id order. `dirty_sorted` must be sorted and
+    /// deduplicated; the saturation driver sorts each iteration's dirty
+    /// snapshot once and shares it across every rule, and the parallel
+    /// search phase shards the returned list across its pool.
     ///
     /// Because the e-graph closes the dirty set over the parent
     /// relation ([`EGraph::dirty_classes`]), a match is new only if its
@@ -362,25 +349,6 @@ impl<L: Language> Pattern<L> {
     /// previous full sweep already returned (modulo id canonicalization),
     /// which is the property `tests/proptest_delta.rs` checks
     /// differentially against [`Pattern::naive_search`].
-    pub fn search_delta_with_stats<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-        dirty: &crate::hash::FxHashSet<Id>,
-    ) -> (Vec<SearchMatches>, usize) {
-        let mut sorted: Vec<Id> = dirty.iter().copied().collect();
-        sorted.sort_unstable();
-        let ids = self.delta_candidate_ids(egraph, &sorted);
-        self.search_ids_with_stats(egraph, &ids)
-    }
-
-    /// The exact candidate list delta search visits: the op-head
-    /// candidates for the pattern root intersected with the dirty set,
-    /// in ascending id order. `dirty_sorted` must be sorted and
-    /// deduplicated; the saturation driver sorts each iteration's dirty
-    /// snapshot once and shares it across every rule, and the parallel
-    /// search phase shards the returned list across its pool —
-    /// [`Pattern::search_ids_with_stats`] over the whole list is
-    /// exactly [`Pattern::search_delta_with_stats`].
     pub fn delta_candidate_ids<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
@@ -421,29 +389,9 @@ impl<L: Language> Pattern<L> {
         }
     }
 
-    /// Like [`Pattern::search_with_stats`] but skipping the classes in
-    /// `excluded` (workload mode's frozen regions). With an empty
-    /// exclusion set this is exactly a full sweep.
-    pub fn search_except_with_stats<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-        excluded: &crate::hash::FxHashSet<Id>,
-    ) -> (Vec<SearchMatches>, usize) {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let candidates = self.candidates(egraph);
-        self.search_candidates(
-            egraph,
-            candidates
-                .iter()
-                .copied()
-                .filter(|id| !excluded.contains(id)),
-        )
-    }
-
-    /// The exact candidate list a frozen-filtered full sweep visits
-    /// (ascending class ids): [`Pattern::search_ids_with_stats`] over
-    /// the returned list is exactly
-    /// [`Pattern::search_except_with_stats`].
+    /// The exact candidate list a full sweep visits (ascending class
+    /// ids), minus the classes in `excluded` (workload mode's frozen
+    /// regions).
     pub fn except_candidate_ids<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
@@ -460,51 +408,24 @@ impl<L: Language> Pattern<L> {
             .collect()
     }
 
-    /// Run the compiled machine over an explicit candidate id list —
-    /// the shard form of the search entry points. The ids must be
-    /// canonical and on a clean graph, as produced by
-    /// [`Pattern::delta_candidate_ids`] /
-    /// [`Pattern::except_candidate_ids`].
-    pub fn search_ids_with_stats<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-        ids: &[Id],
-    ) -> (Vec<SearchMatches>, usize) {
-        self.search_candidates(egraph, ids.iter().copied())
-    }
-
-    /// [`Pattern::search_ids_with_stats`] with an explicit backend —
-    /// the funnel the saturation driver's search phase goes through.
-    /// Both modes visit exactly the ids given (identical `visited`
-    /// counts) and return bit-identical matches; see
-    /// `tests/proptest_relational.rs`.
-    pub fn search_ids_with_stats_mode<A: Analysis<L>>(
+    /// Run the matcher over an explicit candidate id list — the one
+    /// funnel every search goes through, full or delta sweep, whole
+    /// list or one parallel shard — reporting the matches and how many
+    /// classes were visited. The ids must be canonical and on a clean
+    /// graph, as produced by [`Pattern::delta_candidate_ids`] /
+    /// [`Pattern::except_candidate_ids`]. Both backends visit exactly
+    /// the ids given (identical `visited` counts) and return
+    /// bit-identical matches; see `tests/proptest_relational.rs`.
+    pub fn search_ids<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         ids: &[Id],
         mode: MatchingMode,
     ) -> (Vec<SearchMatches>, usize) {
         match mode {
-            MatchingMode::Structural => self.search_candidates(egraph, ids.iter().copied()),
+            MatchingMode::Structural => self.search_candidates(egraph, ids),
             MatchingMode::Relational => self.search_candidates_relational(egraph, ids),
         }
-    }
-
-    /// Full sweep on the relational backend (the generic-join analogue
-    /// of [`Pattern::search`]).
-    pub fn search_relational<A: Analysis<L>>(&self, egraph: &EGraph<L, A>) -> Vec<SearchMatches> {
-        self.search_relational_with_stats(egraph).0
-    }
-
-    /// Like [`Pattern::search_with_stats`] but executing the
-    /// generic-join plan instead of the structural machine.
-    pub fn search_relational_with_stats<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-    ) -> (Vec<SearchMatches>, usize) {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let candidates = self.candidates(egraph);
-        self.search_candidates_relational(egraph, &candidates)
     }
 
     /// The relational twin of [`Pattern::search_candidates`]: build one
@@ -563,15 +484,13 @@ impl<L: Language> Pattern<L> {
         (matches, visited)
     }
 
-    /// Run the compiled machine over `candidates`, reporting the matches
-    /// and how many classes were visited. All search entry points funnel
-    /// through here so `visited` counts identically in full, delta, and
-    /// frozen-filtered sweeps (satellite: `candidates_visited` stays
-    /// comparable across modes).
+    /// Run the compiled machine over `ids`, reporting the matches and
+    /// how many classes were visited (`visited` counts identically in
+    /// full, delta, and frozen-filtered sweeps).
     fn search_candidates<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
-        candidates: impl Iterator<Item = Id>,
+        ids: &[Id],
     ) -> (Vec<SearchMatches>, usize) {
         debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
         let mut visited = 0;
@@ -581,7 +500,7 @@ impl<L: Language> Pattern<L> {
         // must not pay any allocation.
         let mut regs: Vec<Id> = Vec::new();
         let mut raw: Vec<Subst> = Vec::new();
-        for id in candidates {
+        for &id in ids {
             visited += 1;
             debug_assert_eq!(id, egraph.find(id), "candidate ids are canonical");
             self.program.run_into(egraph, id, &mut regs, &mut raw);
@@ -593,20 +512,6 @@ impl<L: Language> Pattern<L> {
             }
         }
         (matches, visited)
-    }
-
-    /// Search one e-class for matches by executing the compiled program.
-    /// The graph must be clean (rebuilt) — the machine relies on
-    /// canonical class node vectors.
-    pub fn search_eclass<A: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, A>,
-        eclass: Id,
-    ) -> Option<SearchMatches> {
-        debug_assert!(egraph.is_clean(), "search requires a rebuilt e-graph");
-        let eclass = egraph.find(eclass);
-        let substs = self.program.run(egraph, eclass);
-        Self::finish_matches(eclass, substs)
     }
 
     /// Search every e-class with the interpreted matcher — the reference
@@ -625,7 +530,7 @@ impl<L: Language> Pattern<L> {
 
     /// Search one e-class by interpreting the pattern AST (see
     /// [`Pattern::naive_search`]).
-    pub fn naive_search_eclass<A: Analysis<L>>(
+    fn naive_search_eclass<A: Analysis<L>>(
         &self,
         egraph: &EGraph<L, A>,
         eclass: Id,
@@ -795,6 +700,12 @@ mod tests {
         eg.add_expr(&parse_rec_expr(s).unwrap())
     }
 
+    /// A full structural sweep with its visited-candidate count.
+    fn full_sweep(p: &Pattern<Arith>, eg: &EG) -> (Vec<SearchMatches>, usize) {
+        let ids = p.except_candidate_ids(eg, &Default::default());
+        p.search_ids(eg, &ids, MatchingMode::Structural)
+    }
+
     #[test]
     fn parse_and_vars() {
         let p: Pattern<Arith> = "(* ?a (+ ?b ?a))".parse().unwrap();
@@ -847,8 +758,8 @@ mod tests {
         eg.union(a, b);
         eg.rebuild();
         let p: Pattern<Arith> = "(+ ?a ?b)".parse().unwrap();
-        let m = p.search_eclass(&eg, a).unwrap();
-        assert_eq!(m.substs.len(), 2);
+        let (m, _) = p.search_ids(&eg, &[eg.find(a)], MatchingMode::Structural);
+        assert_eq!(m[0].substs.len(), 2);
     }
 
     #[test]
@@ -919,7 +830,7 @@ mod tests {
         eg.union(x, y);
         eg.rebuild();
         for p in differential_patterns() {
-            let (indexed, candidates) = p.search_with_stats(&eg);
+            let (indexed, candidates) = full_sweep(&p, &eg);
             let naive = p.naive_search(&eg);
             assert_eq!(indexed.len(), naive.len(), "pattern {p}");
             for (i, n) in indexed.iter().zip(&naive) {
@@ -938,16 +849,16 @@ mod tests {
         // exactly one class holds a `+` node; the index must propose
         // only that class, not all six
         let p: Pattern<Arith> = "(+ ?a ?b)".parse().unwrap();
-        let (matches, candidates) = p.search_with_stats(&eg);
+        let (matches, candidates) = full_sweep(&p, &eg);
         assert_eq!(candidates, 1);
         assert_eq!(matches.len(), 1);
         // a variable root cannot be narrowed: every class is a candidate
         let pv: Pattern<Arith> = "?a".parse().unwrap();
-        let (_, all) = pv.search_with_stats(&eg);
+        let (_, all) = full_sweep(&pv, &eg);
         assert_eq!(all, eg.number_of_classes());
         // a head that occurs nowhere proposes nothing
         let pm: Pattern<Arith> = "(* (* ?a ?b) ?c)".parse().unwrap();
-        let (none, multiplies) = pm.search_with_stats(&eg);
+        let (none, multiplies) = full_sweep(&pm, &eg);
         assert_eq!(multiplies, 1, "one class holds a `*` node");
         assert!(none.is_empty());
     }

@@ -31,7 +31,7 @@
 //!   lookups and merges would cost more than the sweep itself.
 //!
 //! The plan's match *results* are bit-identical to the structural
-//! machine's ([`crate::Pattern::search_ids_with_stats`]): guards are
+//! machine's (both run under [`crate::Pattern::search_ids`]): guards are
 //! necessary conditions (`matches ⟹ op_key equal ⟹ head-column
 //! membership`), every surviving binding is still verified by scanning
 //! the class's nodes, and the shared `finish_matches` normalization
@@ -645,6 +645,15 @@ mod tests {
         eg.add_expr(&parse_rec_expr(s).unwrap())
     }
 
+    /// A full sweep on one backend, with its visited-candidate count.
+    fn full_sweep(
+        p: &crate::Pattern<Arith>,
+        eg: &EG,
+        mode: MatchingMode,
+    ) -> (Vec<crate::SearchMatches>, usize) {
+        p.search_ids(eg, &p.except_candidate_ids(eg, &Default::default()), mode)
+    }
+
     /// From-scratch oracle over the live class nodes.
     fn from_scratch(eg: &EG) -> RelIndex {
         RelIndex::rebuild_from(eg.classes().flat_map(|c| c.nodes.iter()))
@@ -774,9 +783,9 @@ mod tests {
         // (* (+ ?a ?b) ?c): `*` classes exist but no `+` node anywhere,
         // so the inner atom's guard is empty and the plan is impossible.
         let p: crate::Pattern<Arith> = "(* (+ ?a ?b) ?c)".parse().unwrap();
-        let (matches, visited) = p.search_relational_with_stats(&eg);
+        let (matches, visited) = full_sweep(&p, &eg, MatchingMode::Relational);
         assert!(matches.is_empty());
-        let (smatches, svisited) = p.search_with_stats(&eg);
+        let (smatches, svisited) = full_sweep(&p, &eg, MatchingMode::Structural);
         assert!(smatches.is_empty());
         assert_eq!(visited, svisited, "visited counts identical across modes");
         assert_eq!(visited, n_mul, "every * class counts as visited");
@@ -808,8 +817,8 @@ mod tests {
             "7",
         ] {
             let p: crate::Pattern<Arith> = src.parse().unwrap();
-            let (rel, rel_visited) = p.search_relational_with_stats(&eg);
-            let (structural, s_visited) = p.search_with_stats(&eg);
+            let (rel, rel_visited) = full_sweep(&p, &eg, MatchingMode::Relational);
+            let (structural, s_visited) = full_sweep(&p, &eg, MatchingMode::Structural);
             assert_eq!(rel_visited, s_visited, "pattern {src}");
             assert_eq!(rel.len(), structural.len(), "pattern {src}");
             for (r, s) in rel.iter().zip(&structural) {
@@ -831,7 +840,7 @@ mod tests {
         }
         eg.rebuild();
         let p: crate::Pattern<Arith> = "(+ (neg ?a) ?b)".parse().unwrap();
-        let (eager, visited) = p.search_relational_with_stats(&eg);
+        let (eager, visited) = full_sweep(&p, &eg, MatchingMode::Relational);
         assert_eq!(visited, 40);
         let mut lazy = Vec::new();
         for id in eg.class_ids() {
@@ -839,7 +848,7 @@ mod tests {
             if !bucket.contains(&id) {
                 continue;
             }
-            let (m, v) = p.search_ids_with_stats_mode(&eg, &[id], MatchingMode::Relational);
+            let (m, v) = p.search_ids(&eg, &[id], MatchingMode::Relational);
             assert_eq!(v, 1);
             lazy.extend(m);
         }

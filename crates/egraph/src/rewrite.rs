@@ -297,32 +297,6 @@ impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
         self.searcher.search(egraph)
     }
 
-    /// Search, also reporting how many candidate classes the op-head
-    /// index proposed for this rule's lhs (for scheduler statistics).
-    pub fn search_with_stats(&self, egraph: &EGraph<L, A>) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_with_stats(egraph)
-    }
-
-    /// Delta search: only candidate classes in `dirty` are visited.
-    /// See [`Pattern::search_delta_with_stats`].
-    pub fn search_delta_with_stats(
-        &self,
-        egraph: &EGraph<L, A>,
-        dirty: &crate::hash::FxHashSet<Id>,
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_delta_with_stats(egraph, dirty)
-    }
-
-    /// Full sweep minus the classes in `excluded` (frozen regions).
-    /// See [`Pattern::search_except_with_stats`].
-    pub fn search_except_with_stats(
-        &self,
-        egraph: &EGraph<L, A>,
-        excluded: &crate::hash::FxHashSet<Id>,
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_except_with_stats(egraph, excluded)
-    }
-
     /// The candidate list a delta search of this rule visits.
     /// See [`Pattern::delta_candidate_ids`].
     pub fn delta_candidate_ids(&self, egraph: &EGraph<L, A>, dirty_sorted: &[Id]) -> Vec<Id> {
@@ -339,34 +313,15 @@ impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
         self.searcher.except_candidate_ids(egraph, excluded)
     }
 
-    /// Run this rule's compiled matcher over an explicit candidate id
-    /// list (one search shard). See [`Pattern::search_ids_with_stats`].
-    pub fn search_ids_with_stats(
-        &self,
-        egraph: &EGraph<L, A>,
-        ids: &[Id],
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_ids_with_stats(egraph, ids)
-    }
-
-    /// Like [`Rewrite::search_ids_with_stats`], with an explicit
-    /// e-matching backend. See [`Pattern::search_ids_with_stats_mode`].
-    pub fn search_ids_with_stats_mode(
+    /// Run this rule's matcher over an explicit candidate id list (a
+    /// whole sweep or one search shard). See [`Pattern::search_ids`].
+    pub fn search_ids(
         &self,
         egraph: &EGraph<L, A>,
         ids: &[Id],
         mode: crate::relational::MatchingMode,
     ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_ids_with_stats_mode(egraph, ids, mode)
-    }
-
-    /// Full sweep on the relational (generic-join) backend.
-    /// See [`Pattern::search_relational_with_stats`].
-    pub fn search_relational_with_stats(
-        &self,
-        egraph: &EGraph<L, A>,
-    ) -> (Vec<SearchMatches>, usize) {
-        self.searcher.search_relational_with_stats(egraph)
+        self.searcher.search_ids(egraph, ids, mode)
     }
 
     /// Apply this rule to one (class, subst) match. Returns the number of

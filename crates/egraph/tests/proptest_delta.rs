@@ -16,7 +16,7 @@
 //! last iteration has a dirty root.
 
 use proptest::prelude::*;
-use spores_egraph::{EGraph, Id, Language, Pattern, Rewrite, Var};
+use spores_egraph::{EGraph, Id, Language, MatchingMode, Pattern, Rewrite, Var};
 use std::collections::HashSet;
 
 /// Tiny arithmetic language (mirrors `proptest_invariants.rs`).
@@ -237,13 +237,18 @@ proptest! {
             eg.check_invariants();
 
             // --- differential: delta vs full vs naive ---------------
-            let dirty = eg.dirty_classes().clone();
+            let mut dirty: Vec<Id> = eg.dirty_classes().iter().copied().collect();
+            dirty.sort_unstable();
             for (pi, p) in patterns.iter().enumerate() {
                 let full = match_set(&p.search(&eg));
                 let naive = match_set(&p.naive_search(&eg));
                 prop_assert_eq!(&full, &naive, "indexed != naive for {}", p);
 
-                let (delta_matches, visited) = p.search_delta_with_stats(&eg, &dirty);
+                let (delta_matches, visited) = p.search_ids(
+                    &eg,
+                    &p.delta_candidate_ids(&eg, &dirty),
+                    MatchingMode::Structural,
+                );
                 let delta = match_set(&delta_matches);
                 prop_assert!(visited <= dirty.len().max(eg.number_of_classes()));
 

@@ -3,7 +3,7 @@
 //! and equality is correctly propagated.
 
 use proptest::prelude::*;
-use spores_egraph::{EGraph, Id, Language, Pattern, RecExpr};
+use spores_egraph::{EGraph, FxHashSet, Id, Language, MatchingMode, Pattern, RecExpr};
 
 /// Tiny arithmetic language for property testing.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -187,7 +187,11 @@ proptest! {
         // of the interpreted all-classes reference matcher.
         let eg = build_graph(&script, &unions);
         for p in differential_patterns() {
-            let (indexed, candidates) = p.search_with_stats(&eg);
+            let (indexed, candidates) = p.search_ids(
+                &eg,
+                &p.except_candidate_ids(&eg, &FxHashSet::default()),
+                MatchingMode::Structural,
+            );
             let naive = p.naive_search(&eg);
             prop_assert_eq!(indexed.len(), naive.len(), "pattern {}", &p);
             for (i, n) in indexed.iter().zip(&naive) {

@@ -16,7 +16,8 @@
 use proptest::prelude::*;
 use spores_egraph::{
     search_rules_parallel, AstSize, EGraph, Extractor, FxHashMap, FxHashSet, Id, Language,
-    MatchingMode, ParallelConfig, RecExpr, Rewrite, Runner, Scheduler, SearchMatches, Subst, Var,
+    MatchingMode, ParallelConfig, RecExpr, Rewrite, Runner, Scheduler, SearchMatches, SearchPlan,
+    Subst, Var,
 };
 use std::collections::HashSet;
 use std::time::Duration;
@@ -235,13 +236,13 @@ proptest! {
                 eg.dirty_classes().iter().copied().collect();
             dirty_sorted.sort_unstable();
             let none = FxHashSet::default();
-            let plan: Vec<Option<Vec<Id>>> = rules
+            let plan: Vec<SearchPlan> = rules
                 .iter()
                 .enumerate()
                 .map(|(ri, rule)| match (round_ix + ri) % 3 {
-                    0 => None, // muted
-                    1 => Some(rule.except_candidate_ids(&eg, &none)),
-                    _ => Some(rule.delta_candidate_ids(&eg, &dirty_sorted)),
+                    0 => SearchPlan::Muted,
+                    1 => SearchPlan::Full(rule.except_candidate_ids(&eg, &none)),
+                    _ => SearchPlan::Delta(rule.delta_candidate_ids(&eg, &dirty_sorted)),
                 })
                 .collect();
 

@@ -206,8 +206,9 @@ proptest! {
                 // Full sweep: relational vs structural must agree on
                 // match stream *and* funnel accounting; naive pins down
                 // the semantics as a set.
-                let (structural, vis_s) = p.search_with_stats(eg);
-                let (relational, vis_r) = p.search_relational_with_stats(eg);
+                let all_ids = p.except_candidate_ids(eg, &FxHashSet::default());
+                let (structural, vis_s) = p.search_ids(eg, &all_ids, MatchingMode::Structural);
+                let (relational, vis_r) = p.search_ids(eg, &all_ids, MatchingMode::Relational);
                 prop_assert_eq!(
                     vis_s, vis_r,
                     "{}: visited-candidate count diverged on full sweep", p
@@ -230,10 +231,8 @@ proptest! {
                     dirty_sorted.iter().step_by(2).copied().collect();
                 let except_ids = p.except_candidate_ids(eg, &frozen);
                 for lane in [&delta_ids, &except_ids] {
-                    let (sm, sv) =
-                        p.search_ids_with_stats_mode(eg, lane, MatchingMode::Structural);
-                    let (rm, rv) =
-                        p.search_ids_with_stats_mode(eg, lane, MatchingMode::Relational);
+                    let (sm, sv) = p.search_ids(eg, lane, MatchingMode::Structural);
+                    let (rm, rv) = p.search_ids(eg, lane, MatchingMode::Relational);
                     prop_assert_eq!(
                         sv, rv,
                         "{}: visited count diverged on candidate lane", p

@@ -8,10 +8,16 @@
 //! the ledger's pool order), a hash of the plan text, the five saturation
 //! facts, the stop reason, `cost_before` / `cost_after` as IEEE-754 bits,
 //! `fell_back` and `size_polymorphic`.
+//!
+//! `GOLDEN_WORKLOAD` pins the other half of the saturation loop — region
+//! freezing and per-region sampling, which only multi-root runs reach:
+//! one line per §4.2 program through `Optimizer::optimize_workload`,
+//! recorded at the commit before `Runner::run` was split into named
+//! phases (PR 24). The plan hash covers every root's text, in order.
 
 use spores_core::Optimizer;
 use spores_ir::Symbol;
-use spores_ml::runner::{statement_requests, workload_optimizer_config};
+use spores_ml::runner::{statement_requests, workload_bundle, workload_optimizer_config};
 use spores_ml::workloads;
 
 const GOLDEN: &[&str] = &[
@@ -105,6 +111,14 @@ const GOLDEN: &[&str] = &[
     "MLR.obj@1 plan=357d4a7f16ac770a iterations=38 e_nodes=535 e_classes=66 candidates=25362 matches=106315 stop=Some(Saturated) before=407fe00000000000 after=407a900000000000 fell_back=false size_polymorphic=true",
 ];
 
+const GOLDEN_WORKLOAD: &[&str] = &[
+    "ALS plan=94ff5bb1312b72ca iterations=96 e_nodes=2072 e_classes=265 candidates=261307 matches=1336128 region_frozen_iters=362 stop=Some(RegionsConverged) before=4104c79000000000 after=40ea194000000000 fell_back=false size_polymorphic=true",
+    "PNMF plan=61670f216c689de2 iterations=15 e_nodes=482 e_classes=117 candidates=6755 matches=18390 region_frozen_iters=8 stop=Some(RegionsConverged) before=4100484800000000 after=40fafd7000000000 fell_back=false size_polymorphic=true",
+    "GLM plan=84499c25ff3942be iterations=33 e_nodes=717 e_classes=124 candidates=23871 matches=94980 region_frozen_iters=83 stop=Some(RegionsConverged) before=40a1580000000000 after=4095080000000000 fell_back=false size_polymorphic=true",
+    "SVM plan=b8aa33acd0ab875c iterations=14 e_nodes=394 e_classes=105 candidates=5607 matches=13418 region_frozen_iters=22 stop=Some(RegionsConverged) before=409e740000000000 after=4099700000000000 fell_back=false size_polymorphic=true",
+    "MLR plan=2e7abc4360b8664d iterations=34 e_nodes=641 e_classes=114 candidates=17968 matches=68612 region_frozen_iters=117 stop=Some(RegionsConverged) before=409ec00000000000 after=408fc80000000000 fell_back=false size_polymorphic=true",
+];
+
 /// The request a line starts with.
 fn key(line: &str) -> Option<&str> {
     line.split(' ').next()
@@ -117,15 +131,37 @@ fn fnv1a(text: &str) -> u64 {
     })
 }
 
-#[test]
-fn optimize_repeats_the_recorded_plans() {
-    let programs = [
+/// Every `(line, plan text)` of this run equals the line recorded for
+/// its request; on a mismatch, print the run in the golden's format.
+fn assert_recorded(golden: &[&str], got: &[(String, String)]) {
+    for (line, plan) in got {
+        let want = golden.iter().find(|w| key(w) == key(line));
+        assert_eq!(
+            want,
+            Some(&line.as_str()),
+            "recorded result differs; plan of this run:\n{plan}\nthis run:\n{}",
+            got.iter()
+                .map(|(l, _)| format!("    \"{l}\","))
+                .collect::<Vec<_>>()
+                .join("\n")
+        );
+    }
+}
+
+/// The five §4.2 programs at the sizes both goldens were recorded at.
+fn programs() -> [workloads::Workload; 5] {
+    [
         workloads::als(200, 100, 8, 7),
         workloads::pnmf(150, 120, 8, 7),
         workloads::glm(200, 40, 7),
         workloads::svm(200, 40, 7),
         workloads::mlr(200, 20, 7),
-    ];
+    ]
+}
+
+#[test]
+fn optimize_repeats_the_recorded_plans() {
+    let programs = programs();
     let optimizer = Optimizer::new(workload_optimizer_config());
     let x = Symbol::new("X");
     // (line, plan text) per comparable request
@@ -170,21 +206,58 @@ fn optimize_repeats_the_recorded_plans() {
         }
     }
     assert_eq!(requests, 88);
-    for (line, plan) in &got {
-        let want = GOLDEN.iter().find(|w| key(w) == key(line));
-        assert_eq!(
-            want,
-            Some(&line.as_str()),
-            "recorded result differs; plan of this run: {plan}\nthis run:\n{}",
-            got.iter()
-                .map(|(l, _)| format!("    \"{l}\","))
-                .collect::<Vec<_>>()
-                .join("\n")
-        );
-    }
+    assert_recorded(GOLDEN, &got);
     assert!(
         got.len() >= 80,
         "only {} of 88 saturations beat the clock",
+        got.len()
+    );
+}
+
+#[test]
+fn optimize_workload_repeats_the_recorded_plans() {
+    let optimizer = Optimizer::new(workload_optimizer_config());
+    // (line, plan text) per comparable program
+    let mut got: Vec<(String, String)> = Vec::new();
+    for program in &programs() {
+        let bundle = workload_bundle(program);
+        let o = optimizer
+            .optimize_workload(&bundle.expr, &bundle.vars)
+            .expect("the evaluation programs are well-shaped");
+        let s = &o.saturation;
+        // see above: a run the wall clock cut short is not comparable
+        if matches!(s.stop_reason, Some(spores_egraph::StopReason::TimeLimit(_))) {
+            continue;
+        }
+        let plan: String = o
+            .roots
+            .iter()
+            .map(|&(name, root)| format!("{name} = {}\n", o.arena.display(root)))
+            .collect();
+        let line = format!(
+            "{} plan={:016x} iterations={} e_nodes={} e_classes={} candidates={} matches={} \
+             region_frozen_iters={} stop={:?} before={:016x} after={:016x} fell_back={} \
+             size_polymorphic={}",
+            program.name,
+            fnv1a(&plan),
+            s.iterations,
+            s.e_nodes,
+            s.e_classes,
+            s.candidates_visited,
+            s.matches_found,
+            s.region_frozen_iters,
+            s.stop_reason,
+            o.cost_before.to_bits(),
+            o.cost_after.to_bits(),
+            o.fell_back,
+            o.size_polymorphic,
+        );
+        got.push((line, plan));
+    }
+    assert_recorded(GOLDEN_WORKLOAD, &got);
+    assert!(
+        got.len() >= 4,
+        "only {} of 5 saturations beat the clock",
         got.len()
     );
 }

@@ -15,9 +15,7 @@
 #![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    channel, sync_channel, Receiver, SendError, Sender, SyncSender, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -76,21 +74,16 @@ pub enum TrySubmitError<J> {
     Shutdown(J),
 }
 
-enum Queue<J> {
-    Unbounded(Sender<J>),
-    Bounded(SyncSender<J>),
-}
-
-/// Long-lived worker threads draining a channel of jobs.
+/// Long-lived worker threads draining a bounded channel of jobs.
 ///
 /// Jobs are owned (`'static`) values; the handler runs on whichever
 /// worker dequeues the job first. Dropping the pool closes the channel
 /// and joins every worker, so queued jobs are drained before shutdown
 /// completes.
 ///
-/// * [`WorkerPool::new`] builds an **unbounded** queue; [`WorkerPool::bounded`]
-///   caps it, making [`WorkerPool::try_submit`] an explicit backpressure
-///   signal ([`TrySubmitError::Full`]) instead of buffering without limit.
+/// * The queue holds at most [`WorkerPool::capacity`] jobs, making
+///   [`WorkerPool::try_submit`] an explicit backpressure signal
+///   ([`TrySubmitError::Full`]) instead of buffering without limit.
 /// * [`WorkerPool::queue_depth`] reports jobs enqueued but not yet picked
 ///   up by a worker — the gauge a serving front-end exports.
 /// * A panicking handler no longer kills its worker: the pool catches the
@@ -100,54 +93,24 @@ enum Queue<J> {
 ///   because the pool-level catch cannot know what a lost job was
 ///   supposed to signal.
 pub struct WorkerPool<J: Send + 'static> {
-    tx: Option<Queue<J>>,
+    tx: Option<SyncSender<J>>,
     workers: Vec<JoinHandle<()>>,
     depth: Arc<AtomicUsize>,
     panics: Arc<AtomicU64>,
-    capacity: Option<usize>,
+    capacity: usize,
 }
 
 impl<J: Send + 'static> WorkerPool<J> {
     /// Spawn `workers.max(1)` threads named `{name}-{i}` running
-    /// `handler` on each received job, with an unbounded queue.
-    pub fn new<F>(name: &str, workers: usize, handler: F) -> WorkerPool<J>
-    where
-        F: Fn(J) + Send + Sync + 'static,
-    {
-        let (tx, rx) = channel::<J>();
-        Self::build(name, workers, Queue::Unbounded(tx), rx, None, handler)
-    }
-
-    /// Like [`WorkerPool::new`] but with a bounded queue of `capacity`
+    /// `handler` on each received job, behind a queue of `capacity.max(1)`
     /// jobs: once full, [`WorkerPool::try_submit`] reports
-    /// [`TrySubmitError::Full`] and [`WorkerPool::submit`] blocks.
+    /// [`TrySubmitError::Full`].
     pub fn bounded<F>(name: &str, workers: usize, capacity: usize, handler: F) -> WorkerPool<J>
     where
         F: Fn(J) + Send + Sync + 'static,
     {
         let capacity = capacity.max(1);
         let (tx, rx) = sync_channel::<J>(capacity);
-        Self::build(
-            name,
-            workers,
-            Queue::Bounded(tx),
-            rx,
-            Some(capacity),
-            handler,
-        )
-    }
-
-    fn build<F>(
-        name: &str,
-        workers: usize,
-        tx: Queue<J>,
-        rx: Receiver<J>,
-        capacity: Option<usize>,
-        handler: F,
-    ) -> WorkerPool<J>
-    where
-        F: Fn(J) + Send + Sync + 'static,
-    {
         let handler = Arc::new(handler);
         let rx = Arc::new(Mutex::new(rx));
         let depth = Arc::new(AtomicUsize::new(0));
@@ -194,31 +157,12 @@ impl<J: Send + 'static> WorkerPool<J> {
         }
     }
 
-    /// Enqueue a job, blocking if a bounded queue is full. Returns the
-    /// job back if the pool has shut down.
-    pub fn submit(&self, job: J) -> Result<(), J> {
-        self.depth.fetch_add(1, Ordering::Relaxed);
-        let sent = match &self.tx {
-            Some(Queue::Unbounded(tx)) => tx.send(job).map_err(|SendError(job)| job),
-            Some(Queue::Bounded(tx)) => tx.send(job).map_err(|SendError(job)| job),
-            None => Err(job),
-        };
-        if sent.is_err() {
-            self.depth.fetch_sub(1, Ordering::Relaxed);
-        }
-        sent
-    }
-
-    /// Enqueue a job without blocking. On a bounded pool a full queue
-    /// reports [`TrySubmitError::Full`] — the caller's backpressure
-    /// signal; an unbounded pool never reports `Full`.
+    /// Enqueue a job without blocking. A full queue reports
+    /// [`TrySubmitError::Full`] — the caller's backpressure signal.
     pub fn try_submit(&self, job: J) -> Result<(), TrySubmitError<J>> {
         self.depth.fetch_add(1, Ordering::Relaxed);
         let sent = match &self.tx {
-            Some(Queue::Unbounded(tx)) => tx
-                .send(job)
-                .map_err(|SendError(job)| TrySubmitError::Shutdown(job)),
-            Some(Queue::Bounded(tx)) => tx.try_send(job).map_err(|e| match e {
+            Some(tx) => tx.try_send(job).map_err(|e| match e {
                 TrySendError::Full(job) => TrySubmitError::Full(job),
                 TrySendError::Disconnected(job) => TrySubmitError::Shutdown(job),
             }),
@@ -235,8 +179,8 @@ impl<J: Send + 'static> WorkerPool<J> {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Queue capacity (`None` for unbounded pools).
-    pub fn capacity(&self) -> Option<usize> {
+    /// Queue capacity.
+    pub fn capacity(&self) -> usize {
         self.capacity
     }
 
@@ -307,23 +251,23 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            WorkerPool::new("test-pool", 3, move |j: usize| {
+            WorkerPool::bounded("test-pool", 3, 100, move |j: usize| {
                 done.fetch_add(j, Ordering::Relaxed);
             })
         };
         assert_eq!(pool.workers(), 3);
         for j in 1..=100 {
-            pool.submit(j).unwrap();
+            pool.try_submit(j).unwrap();
         }
         drop(pool); // joins workers, draining the queue
         assert_eq!(done.load(Ordering::Relaxed), 5050);
     }
 
     #[test]
-    fn worker_pool_clamps_to_one_worker() {
-        let pool = WorkerPool::new("clamped", 0, |_: ()| {});
+    fn worker_pool_clamps_to_one_worker_and_one_slot() {
+        let pool = WorkerPool::bounded("clamped", 0, 0, |_: ()| {});
         assert_eq!(pool.workers(), 1);
-        assert_eq!(pool.capacity(), None);
+        assert_eq!(pool.capacity(), 1);
     }
 
     #[test]
@@ -338,7 +282,7 @@ mod tests {
                 }
             })
         };
-        assert_eq!(pool.capacity(), Some(2));
+        assert_eq!(pool.capacity(), 2);
         pool.try_submit(0).unwrap(); // worker picks this up and blocks
                                      // wait for the worker to actually dequeue job 0 so the queue
                                      // capacity below is deterministic
@@ -360,7 +304,7 @@ mod tests {
         let done = Arc::new(AtomicUsize::new(0));
         let pool = {
             let done = Arc::clone(&done);
-            WorkerPool::new("panicky", 1, move |j: usize| {
+            WorkerPool::bounded("panicky", 1, 10, move |j: usize| {
                 if j.is_multiple_of(2) {
                     panic!("injected handler panic");
                 }
@@ -368,7 +312,7 @@ mod tests {
             })
         };
         for j in 0..10 {
-            pool.submit(j).unwrap();
+            pool.try_submit(j).unwrap();
         }
         drop(pool); // drains the queue; panics must not kill the worker
         assert_eq!(done.load(Ordering::Relaxed), 1 + 3 + 5 + 7 + 9);
@@ -376,13 +320,13 @@ mod tests {
 
     #[test]
     fn handler_panics_counter_increments() {
-        let pool = WorkerPool::new("counted", 2, |j: usize| {
+        let pool = WorkerPool::bounded("counted", 2, 10, |j: usize| {
             if j == 7 {
                 panic!("boom");
             }
         });
         for j in 0..10 {
-            pool.submit(j).unwrap();
+            pool.try_submit(j).unwrap();
         }
         // spin until the queue drains (workers survive panics)
         while pool.queue_depth() > 0 {

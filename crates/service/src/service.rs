@@ -423,7 +423,7 @@ impl OptimizerService {
 
     /// Capacity of the bounded miss queue.
     pub fn queue_capacity(&self) -> usize {
-        self.pool.capacity().unwrap_or(usize::MAX)
+        self.pool.capacity()
     }
 
     /// Test hook: make the next `n` pipeline runs panic (on whichever
