@@ -8,10 +8,7 @@
 //!   benches per workload;
 //! * `-- --smoke` — one quick cold/warm pass per workload asserting the
 //!   acceptance bar (warm ≥ 10× faster than cold, 100% hit rate on the
-//!   second compile); run by CI;
-//! * `-- --snapshot` / `--snapshot-only` — additionally rewrite the
-//!   committed `BENCH_service.json` (cold/warm latency, hit rates,
-//!   thread-scaling throughput).
+//!   second compile) and the warm thread-scaling guard; run by CI.
 
 use criterion::{criterion_group, Criterion};
 use spores_core::OptimizerConfig;
@@ -206,8 +203,7 @@ fn smoke() {
 /// multi-core host, 1→4 threads must be monotone non-decreasing (within
 /// noise) and 8 threads must hold ≥ 0.9× the 2-thread rate. Skipped on
 /// single-core hosts, where extra threads only measure fan-out
-/// overhead, not contention (the same footgun the snapshot's
-/// `host_cores` field documents).
+/// overhead, not contention.
 fn scaling_guard() {
     let cores = host_cores();
     if cores == 1 {
@@ -240,70 +236,11 @@ fn scaling_guard() {
     );
 }
 
-/// Write the `BENCH_service.json` snapshot to the repo root.
-fn emit_snapshot() {
-    let rows = smoke_rows();
-    let mut entries = Vec::new();
-    for row in &rows {
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"workload\": \"{}\",\n",
-                "      \"statements\": {},\n",
-                "      \"cold_ns\": {},\n",
-                "      \"warm_ns\": {},\n",
-                "      \"speedup\": {:.1},\n",
-                "      \"warm_hit_rate\": {:.3}\n",
-                "    }}"
-            ),
-            row.name, row.statements, row.cold_ns, row.warm_ns, row.speedup, row.warm_hit_rate
-        ));
-    }
-    let mut scaling = Vec::new();
-    for threads in [1usize, 2, 4, 8] {
-        let rps = warm_throughput(threads, 25);
-        println!("service snapshot scaling: {threads} threads → {rps:.0} req/s");
-        scaling.push(format!(
-            "    {{ \"threads\": {threads}, \"warm_requests_per_sec\": {rps:.0} }}"
-        ));
-    }
-    if host_cores() == 1 {
-        println!(
-            "service snapshot: host_cores == 1 — warm_scaling rows measure \
-             fan-out overhead, not speedup"
-        );
-    }
-    // `host_cores` qualifies the scaling table: on a 1-core host the
-    // multi-thread rows measure fan-out overhead, not speedup.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"service/cold_vs_warm\",\n",
-            "  \"host_cores\": {},\n",
-            "  \"workloads\": [\n{}\n  ],\n",
-            "  \"warm_scaling\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        host_cores(),
-        entries.join(",\n"),
-        scaling.join(",\n")
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
     if has("--smoke") {
         smoke();
-        return;
-    }
-    if has("--snapshot") || has("--snapshot-only") {
-        emit_snapshot();
-    }
-    if has("--snapshot-only") {
         return;
     }
     benches();

@@ -28,14 +28,71 @@
 //! every subsequent request, and the next insert clears and re-seeds the
 //! shard, so a single panic degrades one shard temporarily rather than
 //! taking the service down.
+//!
+//! # Remembered verdicts
+//!
+//! Each entry carries a small `Verdicts` table: the hit-path cost
+//! re-checks it has *accepted*, keyed by the request's exact per-slot
+//! metadata. The table is part of the entry, so eviction and replacement
+//! drop it with the plan — nothing else ever invalidates it.
 
 use spores_core::PhaseTimings;
 use spores_ir::{ExprArena, Fingerprint, NodeId, Shape};
 use spores_telemetry::{Counter, Log2Histogram};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, TryLockError};
+use std::sync::{Arc, OnceLock, RwLock, TryLockError};
 use std::time::Instant;
+
+/// Verdicts remembered per entry; past this, re-checks run every time.
+const VERDICT_SLOTS: usize = 16;
+
+/// A request's exact per-slot metadata, `(shape, sparsity bits)` in
+/// fingerprint slot order: the key of a [`Verdicts`] table. Symbols are
+/// left out — slot order already pairs each leaf with its template slot.
+pub(crate) type VerdictKey = Vec<(Shape, u64)>;
+
+/// Accepted hit re-check verdicts of one cache entry: exact request
+/// metadata → the cost to report. Append-only and lock-free: each slot
+/// is written once, so a probe reads it with plain atomic loads.
+/// Rejections are never recorded (they replace the entry instead).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Verdicts {
+    slots: [OnceLock<(VerdictKey, f64)>; VERDICT_SLOTS],
+}
+
+impl Verdicts {
+    /// A table holding one verdict — the producing request's own.
+    pub(crate) fn seeded(key: VerdictKey, cost: f64) -> Verdicts {
+        let verdicts = Verdicts::default();
+        verdicts.record(key, cost);
+        verdicts
+    }
+
+    /// The cost remembered for exactly this metadata, if any.
+    pub(crate) fn get(&self, key: &[(Shape, u64)]) -> Option<f64> {
+        self.slots
+            .iter()
+            .filter_map(OnceLock::get)
+            .find(|(k, _)| k == key)
+            .map(|&(_, cost)| cost)
+    }
+
+    /// Remember an accepted verdict in the first free slot (a no-op once
+    /// the key is present or the table is full).
+    pub(crate) fn record(&self, key: VerdictKey, cost: f64) {
+        let mut pending = (key, cost);
+        for slot in &self.slots {
+            match slot.set(pending) {
+                Ok(()) => return,
+                Err(back) => pending = back,
+            }
+            if slot.get().is_some_and(|(k, _)| *k == pending.0) {
+                return;
+            }
+        }
+    }
+}
 
 /// An optimized plan over α-slot leaves (`$0`, `$1`, …), ready to be
 /// re-instantiated against a caller's symbols.
@@ -65,6 +122,8 @@ pub struct CachedPlan {
     /// Concrete per-slot shapes the template was optimized for (the
     /// exact-match key when `size_polymorphic` is false).
     pub slot_shapes: Vec<Shape>,
+    /// Accepted re-check verdicts, seeded with the producing request's.
+    pub(crate) verdicts: Verdicts,
 }
 
 /// What the sharded cache needs to know about an entry to run its
@@ -381,7 +440,28 @@ mod tests {
             e_nodes: 0,
             size_polymorphic: poly,
             slot_shapes: shapes,
+            verdicts: Verdicts::default(),
         })
+    }
+
+    #[test]
+    fn verdicts_remember_exact_keys_up_to_the_bound() {
+        let key = |rows: u64, sparsity: f64| vec![(Shape::new(rows, 10), sparsity.to_bits())];
+        let verdicts = Verdicts::seeded(key(10, 0.1), 7.0);
+        assert_eq!(verdicts.get(&key(10, 0.1)), Some(7.0));
+        // other sizes or sparsities are other keys
+        assert_eq!(verdicts.get(&key(11, 0.1)), None);
+        assert_eq!(verdicts.get(&key(10, 0.2)), None);
+        // a key already present keeps its first verdict and its one slot
+        verdicts.record(key(10, 0.1), 8.0);
+        assert_eq!(verdicts.get(&key(10, 0.1)), Some(7.0));
+        for rows in 100..100 + VERDICT_SLOTS as u64 {
+            verdicts.record(key(rows, 0.1), rows as f64);
+        }
+        // the seed took one slot, so the last key found the table full
+        let last = 100 + VERDICT_SLOTS as u64 - 1;
+        assert_eq!(verdicts.get(&key(last - 1, 0.1)), Some((last - 1) as f64));
+        assert_eq!(verdicts.get(&key(last, 0.1)), None);
     }
 
     #[test]

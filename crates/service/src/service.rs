@@ -3,8 +3,11 @@
 //! Request lifecycle:
 //!
 //! ```text
-//! request ── fingerprint ──► cache hit? ── instantiate + cost re-check ──► serve (µs)
-//!                │ miss                         │ re-check failed
+//! request ── fingerprint ──► cache hit? ── verdict remembered? ──yes──► instantiate ──► serve (µs)
+//!                │ miss                         │ no
+//!                │                              ▼
+//!                │                 instantiate + cost re-check ──pass──► remember ──► serve (µs)
+//!                │                              │ fail
 //!                ▼                              ▼
 //!        in-flight already? ──yes──► ticket (coalesce)     inline pipeline
 //!                │ no
@@ -17,7 +20,8 @@
 //!
 //! * **Tier 1 — the synchronous fast path.** Warm hits run entirely on
 //!   the caller's thread: fingerprint, a *read-locked* probe of the
-//!   sharded cache, α-instantiation and the cost re-check. They never
+//!   sharded cache, α-instantiation and — unless the entry remembers a
+//!   verdict for this exact metadata — the cost re-check. They never
 //!   touch the worker queue, the inflight table, or any exclusive lock —
 //!   provable from telemetry: a 100%-hit run records zero
 //!   `service.queue_wait` spans.
@@ -39,6 +43,10 @@
 //!   within a sparsity bucket — the hit is rejected and the request falls
 //!   through to the full pipeline, so a hit is never meaningfully worse
 //!   than what greedy re-optimization would have returned for the input.
+//!   Each entry remembers its accepted verdicts per exact request
+//!   metadata (seeded with the producing request's own), so a repeated
+//!   request skips the re-check and costs fingerprint + probe +
+//!   α-instantiation.
 //! * **Single-flight**: concurrent identical fingerprints run the
 //!   pipeline once; the rest wait on the same computation. A panicking
 //!   pipeline resolves every waiter with a typed
@@ -48,7 +56,7 @@
 //!   constants, see [`spores_core::Optimized::size_polymorphic`]) are
 //!   only reused at exactly the sizes they were optimized for.
 
-use crate::cache::{CacheEntry, CachedPlan, PlanTemplate, ShardedCache};
+use crate::cache::{CacheEntry, CachedPlan, PlanTemplate, ShardedCache, VerdictKey, Verdicts};
 use crate::stats::{ServiceStats, StatsSnapshot};
 use crate::workload::{CachedWorkloadPlan, ServedWorkload, WorkloadRequest};
 use spores_core::{
@@ -144,7 +152,9 @@ pub struct Served {
     /// pipeline's estimate (priced against the saturated e-graph's merged
     /// sparsity bounds); for hits it is the re-check's fresh-graph
     /// estimate under the caller's metadata. The two can differ by a
-    /// fraction of a percent on the same plan.
+    /// fraction of a percent on the same plan. A hit at exactly the
+    /// metadata of the request that produced the entry reports the
+    /// pipeline's estimate, like the miss did.
     pub cost: f64,
     pub source: PlanSource,
     /// End-to-end service latency for this request.
@@ -287,6 +297,9 @@ impl Inner {
             e_nodes: got.saturation.e_nodes,
             size_polymorphic: got.size_polymorphic,
             slot_shapes: slot_shapes(fp, &request.vars),
+            // the miss serves this plan to this request unchecked, so a
+            // repeat of it may be served the same way
+            verdicts: Verdicts::seeded(verdict_key(fp, &request.vars), got.cost_after),
         });
         if !got.fell_back {
             self.cache.insert(fp, plan.clone());
@@ -317,6 +330,18 @@ fn slot_shapes(fp: &Fingerprint, vars: &HashMap<Symbol, VarMeta>) -> Vec<Shape> 
     fp.slots()
         .iter()
         .map(|s| vars.get(s).map_or(Shape::scalar(), |m| m.shape))
+        .collect()
+}
+
+/// Exact per-slot metadata of a request, in fingerprint slot order: the
+/// key its entry's remembered verdicts are looked up by.
+fn verdict_key(fp: &Fingerprint, vars: &HashMap<Symbol, VarMeta>) -> VerdictKey {
+    fp.slots()
+        .iter()
+        .map(|s| {
+            let m = vars.get(s).copied().unwrap_or_else(VarMeta::scalar);
+            (m.shape, m.sparsity.to_bits())
+        })
         .collect()
 }
 
@@ -386,7 +411,9 @@ impl OptimizerService {
     }
 
     /// Prometheus-style text exposition of the service metrics:
-    /// hits/misses/coalesced/cost-rejections/evictions, the backpressure
+    /// hits/misses/coalesced/cost-rejections/evictions,
+    /// `spores_service_recheck_memo_hits` (hits that skipped the cost
+    /// re-check on a remembered verdict), the backpressure
     /// gauges (`spores_service_queue_depth`, backpressure
     /// `spores_service_rejections`, `spores_service_inline_runs`), the
     /// cache contention instruments
@@ -707,6 +734,7 @@ impl OptimizerService {
             e_nodes: got.saturation.e_nodes,
             size_polymorphic: got.size_polymorphic,
             slot_shapes: shapes.to_vec(),
+            verdicts: Verdicts::seeded(verdict_key(fp, &request.vars), cost),
         });
         if !got.fell_back {
             self.inner.workload_cache.insert(fp, plan.clone());
@@ -743,16 +771,13 @@ impl OptimizerService {
         plan: &CachedWorkloadPlan,
     ) -> Result<ServedWorkload, RejectedHit> {
         let (arena, roots) = Self::materialize_workload(plan, request, fp);
-        let cost = workload_plan_cost(&arena, &roots, &request.vars).map_err(|_| RejectedHit)?;
-        let input_cost = workload_plan_cost(
-            &request.workload.arena,
-            &request.workload.roots,
-            &request.vars,
-        )
-        .map_err(|_| RejectedHit)?;
-        if cost > input_cost * (1.0 + COST_SLACK) + COST_EPS {
-            return Err(RejectedHit);
-        }
+        let cost = self.verdict(&plan.verdicts, verdict_key(fp, &request.vars), || {
+            let input = &request.workload;
+            Some((
+                workload_plan_cost(&arena, &roots, &request.vars).ok()?,
+                workload_plan_cost(&input.arena, &input.roots, &request.vars).ok()?,
+            ))
+        })?;
         Ok(ServedWorkload {
             arena,
             roots,
@@ -843,15 +868,37 @@ impl OptimizerService {
         plan: &CachedPlan,
     ) -> Result<Served, RejectedHit> {
         let (arena, root) = Self::materialize(plan, fp);
+        let cost = self.verdict(&plan.verdicts, verdict_key(fp, &request.vars), || {
+            Some((
+                plan_cost(&arena, root, &request.vars).ok()?,
+                plan_cost(&request.arena, request.root, &request.vars).ok()?,
+            ))
+        })?;
+        Ok(Self::served(plan, arena, root, cost, PlanSource::Hit))
+    }
+
+    /// The cost to serve a cached plan at, or a rejection. A verdict the
+    /// entry remembered for exactly this metadata is reused as is;
+    /// otherwise `price` gives `(plan cost, input cost)` at the caller's
+    /// metadata and an accept is remembered.
+    fn verdict(
+        &self,
+        verdicts: &Verdicts,
+        key: VerdictKey,
+        price: impl FnOnce() -> Option<(f64, f64)>,
+    ) -> Result<f64, RejectedHit> {
+        if let Some(cost) = verdicts.get(&key) {
+            self.inner.stats.recheck_memo_hits.inc();
+            return Ok(cost);
+        }
         // a template priced worse than the caller's own input plan (or
         // one that no longer type-checks) must not be served
-        let cost = plan_cost(&arena, root, &request.vars).map_err(|_| RejectedHit)?;
-        let input_cost =
-            plan_cost(&request.arena, request.root, &request.vars).map_err(|_| RejectedHit)?;
+        let (cost, input_cost) = price().ok_or(RejectedHit)?;
         if cost > input_cost * (1.0 + COST_SLACK) + COST_EPS {
             return Err(RejectedHit);
         }
-        Ok(Self::served(plan, arena, root, cost, PlanSource::Hit))
+        verdicts.record(key, cost);
+        Ok(cost)
     }
 
     /// Register this fingerprint in the striped single-flight table.

@@ -91,6 +91,9 @@ pub struct ServiceStats {
     /// priced worse than the caller's own plan at their sizes) and
     /// re-optimized from scratch.
     pub cost_rejections: Arc<Counter>,
+    /// Hits (statement and workload) served on a verdict the entry
+    /// remembered for this exact metadata, skipping the cost re-check.
+    pub recheck_memo_hits: Arc<Counter>,
     /// `try_optimize` submissions rejected because the bounded miss
     /// queue was full (explicit backpressure).
     pub rejections: Arc<Counter>,
@@ -127,6 +130,7 @@ impl Default for ServiceStats {
         let misses = registry.counter("spores.service.misses");
         let coalesced = registry.counter("spores.service.coalesced");
         let cost_rejections = registry.counter("spores.service.cost_rejections");
+        let recheck_memo_hits = registry.counter("spores.service.recheck_memo_hits");
         let rejections = registry.counter("spores.service.rejections");
         let inline_runs = registry.counter("spores.service.inline_runs");
         let worker_panics = registry.counter("spores.service.worker_panics");
@@ -144,6 +148,7 @@ impl Default for ServiceStats {
             misses,
             coalesced,
             cost_rejections,
+            recheck_memo_hits,
             rejections,
             inline_runs,
             worker_panics,
@@ -191,6 +196,7 @@ impl ServiceStats {
 
     /// Prometheus-style text exposition of every service metric:
     /// `spores_service_{hits,misses,coalesced,cost_rejections,evictions}`,
+    /// `spores_service_recheck_memo_hits` (hits that skipped the re-check),
     /// the backpressure instruments (`spores_service_rejections`,
     /// `spores_service_inline_runs`, `spores_service_queue_depth`), the
     /// contention/robustness instruments
@@ -313,6 +319,7 @@ mod tests {
         s.misses.add(2);
         s.coalesced.add(1);
         s.cost_rejections.add(1);
+        s.recheck_memo_hits.add(3);
         s.rejections.add(4);
         s.inline_runs.add(2);
         s.worker_panics.add(1);
@@ -325,6 +332,7 @@ mod tests {
             "spores_service_misses 2",
             "spores_service_coalesced 1",
             "spores_service_cost_rejections 1",
+            "spores_service_recheck_memo_hits 3",
             "spores_service_rejections 4",
             "spores_service_inline_runs 2",
             "spores_service_worker_panics 1",

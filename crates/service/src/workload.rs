@@ -15,9 +15,10 @@
 //! template is re-priced under the caller's metadata and rejected when
 //! it prices worse than the caller's own statements (beyond the
 //! estimator-drift slack), so a workload hit is never meaningfully worse
-//! than not having had a cache at all.
+//! than not having had a cache at all. Accepted verdicts are remembered
+//! per exact metadata in the entry, as for single-statement hits.
 
-use crate::cache::CacheEntry;
+use crate::cache::{CacheEntry, Verdicts};
 use crate::service::PlanSource;
 use spores_core::PhaseTimings;
 use spores_core::VarMeta;
@@ -47,8 +48,9 @@ pub struct ServedWorkload {
     /// Per-statement `(name, plan root)` in request order, names taken
     /// from the caller's bundle.
     pub roots: Vec<(Symbol, NodeId)>,
-    /// Summed [`spores_core::plan_cost`] of the served roots (pipeline
-    /// estimate for misses, fresh re-check estimate for hits).
+    /// Summed [`spores_core::plan_cost`] of the served roots at the
+    /// caller's metadata. A hit reports the value remembered for that
+    /// exact metadata — for the producing request's own, the miss's value.
     pub cost: f64,
     pub source: PlanSource,
     pub latency: Duration,
@@ -77,6 +79,8 @@ pub struct CachedWorkloadPlan {
     pub size_polymorphic: bool,
     /// Concrete per-slot shapes the template was optimized for.
     pub slot_shapes: Vec<Shape>,
+    /// Accepted re-check verdicts, seeded with the producing request's.
+    pub(crate) verdicts: Verdicts,
 }
 
 impl CacheEntry for CachedWorkloadPlan {

@@ -242,4 +242,19 @@ fn warm_hit_at_different_sizes_is_served_from_the_cache() {
         assert!(w.approx_eq(g, 1e-6));
     }
     assert_eq!(svc.stats().hits, 1);
+
+    // the producing request's metadata, under the other names: served on
+    // the verdict the miss left behind, at the miss's cost
+    let bundle_c = build_bundle(&picks, &NAMES_B);
+    let vars_c = meta_for(&bundle_c, &NAMES_B, 6, 5);
+    let again = svc
+        .optimize_workload(WorkloadRequest::new(bundle_c, vars_c))
+        .unwrap();
+    assert_eq!(again.source, PlanSource::Hit);
+    assert_eq!(again.cost.to_bits(), cold.cost.to_bits());
+    let text = svc.metrics_text();
+    assert!(
+        text.contains("spores_service_recheck_memo_hits 1"),
+        "{text}"
+    );
 }

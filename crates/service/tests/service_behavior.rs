@@ -44,11 +44,10 @@ fn repeat_requests_hit_the_cache() {
     assert_eq!(cold.source, PlanSource::Miss);
     let warm = svc.optimize(request(src, &vs)).unwrap();
     assert_eq!(warm.source, PlanSource::Hit);
-    // identical request ⇒ identical plan, and identical cost when both
-    // plans are priced in the same (fresh-graph) estimator context —
-    // Served.cost itself mixes contexts: misses report the pipeline's
-    // saturated-graph estimate, hits the fresh re-check estimate
+    // identical request ⇒ identical plan, and the verdict the miss left
+    // behind: the pipeline's estimate, not a fresh re-check's
     assert_eq!(warm.arena.display(warm.root), cold.arena.display(cold.root));
+    assert_eq!(warm.cost.to_bits(), cold.cost.to_bits());
     let warm_cost = plan_cost(&warm.arena, warm.root, &vs).unwrap();
     let cold_cost = plan_cost(&cold.arena, cold.root, &vs).unwrap();
     assert!((warm_cost - cold_cost).abs() <= 1e-6 * (1.0 + cold_cost.abs()));
@@ -134,6 +133,41 @@ fn hits_are_never_costlier_than_fresh_greedy_optimization() {
     }
     // at least some of those were warm
     assert!(svc.stats().hits > 0);
+}
+
+#[test]
+fn a_hit_at_other_sizes_is_priced_at_its_own_metadata() {
+    // the entry remembers its producer's verdict; a request with the same
+    // fingerprint at other sizes must still be re-checked and priced at
+    // *its* metadata
+    let svc = quick_service();
+    let src = "sum((X - u %*% t(v))^2)";
+    let warmed = vars(&[
+        ("X", (1000, 500), 0.001),
+        ("u", (1000, 1), 1.0),
+        ("v", (500, 1), 1.0),
+    ]);
+    let other = vars(&[
+        ("X", (600, 900), 0.001),
+        ("u", (600, 1), 1.0),
+        ("v", (900, 1), 1.0),
+    ]);
+    let cold = svc.optimize(request(src, &warmed)).unwrap();
+    assert_eq!(cold.source, PlanSource::Miss);
+    for _ in 0..2 {
+        let hit = svc.optimize(request(src, &other)).unwrap();
+        assert_eq!(hit.source, PlanSource::Hit);
+        let own = plan_cost(&hit.arena, hit.root, &other).unwrap();
+        assert_eq!(hit.cost.to_bits(), own.to_bits());
+        assert_ne!(hit.cost.to_bits(), cold.cost.to_bits());
+    }
+    // the first of those two ran the re-check, the second reused it
+    let text = svc.metrics_text();
+    assert!(
+        text.contains("spores_service_recheck_memo_hits 1"),
+        "{text}"
+    );
+    assert_eq!(svc.stats().cost_rejections, 0);
 }
 
 #[test]
