@@ -13,13 +13,7 @@
 //!   (including GLM and PNMF specifically) AND its wall time is within
 //!   1.1× of the per-statement sum on ≥ 4 of the 5; SVM is the
 //!   documented holdout for both (see `smoke`); run by CI;
-//! * `-- --snapshot` / `--snapshot-only` — additionally rewrite the
-//!   committed `BENCH_workload.json`, including an ALS thread-scaling
-//!   table (one-pass wall time at 1/2/4/8 search threads) and the
-//!   `host_cores` it was measured on (a 1-core host's scaling rows only
-//!   measure fan-out overhead — record that instead of presenting it as
-//!   scaling data);
-//! * `-- --threads N` — run any of the above with N search threads
+//! * `-- --threads N` — run either of the above with N search threads
 //!   instead of the `SPORES_THREADS`/host default.
 //!
 //! `--smoke` additionally guards the telemetry layer: an ALS one-pass
@@ -136,7 +130,6 @@ struct SmokeRow {
     per_statement_ns: u64,
     shared_candidates: usize,
     per_statement_candidates: usize,
-    shared_cost: f64,
 }
 
 /// Best-of-two wall time for `f` (damps one-off scheduler noise; the
@@ -166,7 +159,6 @@ fn smoke_rows(parallel: ParallelConfig) -> Vec<SmokeRow> {
                 per_statement_ns,
                 shared_candidates: shared.saturation.candidates_visited,
                 per_statement_candidates: per.candidates_visited,
-                shared_cost: shared.cost_after,
             }
         })
         .collect()
@@ -251,7 +243,7 @@ fn smoke(parallel: ParallelConfig) {
 
 /// Wall time of one ALS pass with parallel search vs serial. Skipped on
 /// single-core hosts, where "parallel" timings only measure the fan-out
-/// overhead (the footgun the snapshot's `host_cores` field documents).
+/// overhead.
 fn scaling_guard() {
     let cores = host_cores();
     if cores == 1 {
@@ -357,76 +349,6 @@ fn disabled_hook_cost_ns() -> f64 {
     t0.elapsed().as_nanos() as f64 / N as f64
 }
 
-/// ALS one-pass wall time at 1/2/4/8 search threads (best of two runs
-/// each), mirroring `BENCH_service.json`'s `warm_scaling` table.
-fn thread_scaling() -> Vec<(usize, u64)> {
-    let bundle = workload_bundle(&workloads::als(200, 100, 8, 51));
-    [1usize, 2, 4, 8]
-        .iter()
-        .map(|&threads| {
-            let parallel = ParallelConfig {
-                threads,
-                ..ParallelConfig::serial()
-            };
-            let (ns, _) = min_of_two(|| run_shared(&bundle, parallel));
-            (threads, ns)
-        })
-        .collect()
-}
-
-/// Write the `BENCH_workload.json` snapshot to the repo root.
-fn emit_snapshot(parallel: ParallelConfig) {
-    let rows = smoke_rows(parallel);
-    let mut entries = Vec::new();
-    for row in &rows {
-        entries.push(format!(
-            concat!(
-                "    {{\n",
-                "      \"workload\": \"{}\",\n",
-                "      \"statements\": {},\n",
-                "      \"one_pass_ns\": {},\n",
-                "      \"per_statement_ns\": {},\n",
-                "      \"one_pass_candidates\": {},\n",
-                "      \"per_statement_candidates\": {},\n",
-                "      \"one_pass_dag_cost\": {:.0}\n",
-                "    }}"
-            ),
-            row.name,
-            row.statements,
-            row.shared_ns,
-            row.per_statement_ns,
-            row.shared_candidates,
-            row.per_statement_candidates,
-            row.shared_cost,
-        ));
-    }
-    let scaling: Vec<String> = thread_scaling()
-        .iter()
-        .map(|&(threads, ns)| format!("    {{ \"threads\": {threads}, \"one_pass_ns\": {ns} }}"))
-        .collect();
-    // `host_cores` qualifies the scaling table: on a 1-core host the
-    // multi-thread rows measure fan-out overhead, not scaling.
-    let json = format!(
-        concat!(
-            "{{\n",
-            "  \"bench\": \"workload/one_pass_vs_per_statement\",\n",
-            "  \"host_cores\": {},\n",
-            "  \"parallel\": {{ \"threads\": {}, \"min_shard_size\": {} }},\n",
-            "  \"workloads\": [\n{}\n  ],\n",
-            "  \"als_thread_scaling\": [\n{}\n  ]\n",
-            "}}\n"
-        ),
-        host_cores(),
-        parallel.threads,
-        parallel.min_shard_size,
-        entries.join(",\n"),
-        scaling.join(",\n"),
-    );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_workload.json");
-    std::fs::write(path, json).unwrap_or_else(|e| panic!("writing {path}: {e}"));
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |flag: &str| args.iter().any(|a| a == flag);
@@ -439,12 +361,6 @@ fn main() {
     }
     if has("--smoke") {
         smoke(parallel);
-        return;
-    }
-    if has("--snapshot") || has("--snapshot-only") {
-        emit_snapshot(parallel);
-    }
-    if has("--snapshot-only") {
         return;
     }
     benches();

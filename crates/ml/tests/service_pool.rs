@@ -10,26 +10,47 @@
 //!
 //! The verdict table is keyed by metadata alone, not by symbols; the
 //! second test pins that `plan_cost` does not see variable names.
+//!
+//! `GOLDEN_BUNDLES` pins the five programs' workload bundles through the
+//! same service, twice. It was recorded at the commit before bundles and
+//! statements shared one request flow (one cache entry type, one miss
+//! path): each line is the program, the source of both passes, the cost
+//! bits of both passes and the text of every served root.
 
 use spores_core::{plan_cost, VarMeta};
 use spores_ir::{ExprArena, Symbol};
-use spores_ml::runner::statement_requests;
+use spores_ml::runner::{statement_requests, workload_bundle};
 use spores_ml::workloads;
-use spores_service::{OptimizerService, PlanSource, Request, Served, ServiceConfig};
+use spores_service::{
+    OptimizerService, PlanSource, Request, Served, ServedWorkload, ServiceConfig, WorkloadRequest,
+};
 use std::collections::HashMap;
 
 /// Pass-2 misses before verdicts were remembered (self-rejections).
 const SELF_REJECTED: [&str; 2] = ["ALS.loss@0.1", "ALS.loss@1"];
 
-/// `(label, request)` of the 88 pool requests, in the ledger's order.
-fn pool() -> Vec<(String, Request)> {
-    let programs = [
+const GOLDEN_BUNDLES: &[&str] = &[
+    "ALS pass1=Miss pass2=Hit cost1=40fcdec000000000 cost2=40fcdec000000000 roots: GU@1 = U %*% t(V) %*% V - X %*% V; U@1 = U + GU@1 * -0.0001; GV@1 = V %*% t(U@1) %*% U@1 - t(X) %*% U@1; V@1 = V + GV@1 * -0.0001; loss@1 = sum(X * X) + (sum(rowSums(U@1 %*% t(V@1) * t(V@1 %*% t(U@1)))) + sum(rowSums(t(U@1) * t(X %*% V@1))) * -2)",
+    "PNMF pass1=Miss pass2=Hit cost1=40fc24d000000000 cost2=40fc24d000000000 roots: H@1 = H * t(W) %*% (X / W %*% H) * t(1 / colSums(W)); W@1 = W * (X / W %*% H@1) %*% t(H@1) * t(1 / rowSums(H@1)); obj@1 = sum(colSums(W@1) * t(rowSums(H@1))) - sum(log(W@1 %*% H@1) * X)",
+    "GLM pass1=Miss pass2=Hit cost1=4096480000000000 cost2=4096480000000000 roots: P@1 = sigmoid(X %*% w); G@1 = t(colSums(X * P@1 - X * y)) + w * 0.01; w@1 = w + G@1 * -0.1; obj@1 = sum(P@1 * P@1) + (sum(y * y) + sum(y * P@1) * -2) + 0.01 * sum(w@1 * w@1)",
+    "SVM pass1=Miss pass2=Hit cost1=409dd00000000000 cost2=409dd00000000000 roots: out@1 = 1 - y * X %*% w; sv@1 = out@1 > 0; G@1 = w * 0.01 - t(X) %*% (y * out@1 * sv@1); w@1 = w + G@1 * -0.1; obj@1 = 0.5 * sum((sv@1 * out@1)^2) + 0.01 * sum(w@1 * w@1)",
+    "MLR pass1=Miss pass2=Hit cost1=4090840000000000 cost2=4090840000000000 roots: P@1 = sigmoid(X %*% w); D@1 = P@1 * (X - P@1 * X); G@1 = t(colSums(D@1)) + 0.01 * w; w@1 = w + G@1 * -0.1; obj@1 = sum(y * y) + -2 * sum(y * P@1) + sum(P@1 * P@1)",
+];
+
+/// The five §4.2 programs at the roster sizes of `plan_golden.rs`.
+fn programs() -> [workloads::Workload; 5] {
+    [
         workloads::als(200, 100, 8, 7),
         workloads::pnmf(150, 120, 8, 7),
         workloads::glm(200, 40, 7),
         workloads::svm(200, 40, 7),
         workloads::mlr(200, 20, 7),
-    ];
+    ]
+}
+
+/// `(label, request)` of the 88 pool requests, in the ledger's order.
+fn pool() -> Vec<(String, Request)> {
+    let programs = programs();
     let x = Symbol::new("X");
     let mut pool = Vec::new();
     for sparsity in [0.001, 0.01, 0.1, 1.0] {
@@ -108,6 +129,74 @@ fn second_pass_over_the_pool_is_all_hits_with_the_same_plans() {
     assert_eq!(
         counter(&svc, "spores_service_recheck_memo_hits") - memo_before,
         comparable.len() as u64
+    );
+}
+
+/// `name = text` of every served root, in bundle order.
+fn roots_text(served: &ServedWorkload) -> String {
+    served
+        .roots
+        .iter()
+        .map(|&(name, root)| format!("{name} = {}", served.arena.display(root)))
+        .collect::<Vec<_>>()
+        .join("; ")
+}
+
+#[test]
+fn bundles_repeat_the_recorded_plans_on_both_passes() {
+    let bundles: Vec<(&str, WorkloadRequest)> = programs()
+        .iter()
+        .map(|program| {
+            let bundle = workload_bundle(program);
+            (program.name, WorkloadRequest::new(bundle.expr, bundle.vars))
+        })
+        .collect();
+    let svc = service();
+    let pass = |svc: &OptimizerService| -> Vec<ServedWorkload> {
+        bundles
+            .iter()
+            .map(|(name, request)| {
+                svc.optimize_workload(request.clone())
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+            })
+            .collect()
+    };
+    let first = pass(&svc);
+    let second = pass(&svc);
+    let mut got = Vec::new();
+    for (((name, _), one), two) in bundles.iter().zip(&first).zip(&second) {
+        // see above: a saturation the wall clock cut short is not comparable
+        if one.timed_out {
+            continue;
+        }
+        got.push(format!(
+            "{name} pass1={:?} pass2={:?} cost1={:016x} cost2={:016x} roots: {}",
+            one.source,
+            two.source,
+            one.cost.to_bits(),
+            two.cost.to_bits(),
+            roots_text(one),
+        ));
+        assert_eq!(
+            roots_text(two),
+            roots_text(one),
+            "{name}: pass 2 served another plan"
+        );
+    }
+    let listing = got
+        .iter()
+        .map(|l| format!("    \"{l}\","))
+        .collect::<Vec<_>>()
+        .join("\n");
+    for line in &got {
+        let name = line.split(' ').next();
+        let want = GOLDEN_BUNDLES.iter().find(|w| w.split(' ').next() == name);
+        assert_eq!(want, Some(&line.as_str()), "this run:\n{listing}");
+    }
+    assert!(
+        got.len() >= 4,
+        "only {} of 5 saturations beat the clock",
+        got.len()
     );
 }
 

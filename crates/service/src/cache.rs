@@ -6,6 +6,11 @@
 //! templates (plans whose lowering embedded concrete dimension constants,
 //! keyed by the exact per-slot shapes they were optimized for).
 //!
+//! Statements and bundles share the one cache and its capacity: an entry
+//! holds one template root per request root. Their keys cannot collide,
+//! because every bundle's canonical form ends in per-root markers
+//! ([`spores_ir::fingerprint_workload`]) that no statement's has.
+//!
 //! # Warm-path lock discipline
 //!
 //! Probes are the service's hot path: a warm fleet hammers [`ShardedCache::get`]
@@ -46,6 +51,9 @@ use std::time::Instant;
 
 /// Verdicts remembered per entry; past this, re-checks run every time.
 const VERDICT_SLOTS: usize = 16;
+
+/// Size-pinned variants kept per canonical fingerprint.
+const MAX_VARIANTS: usize = 8;
 
 /// A request's exact per-slot metadata, `(shape, sparsity bits)` in
 /// fingerprint slot order: the key of a [`Verdicts`] table. Symbols are
@@ -94,167 +102,106 @@ impl Verdicts {
     }
 }
 
-/// An optimized plan over α-slot leaves (`$0`, `$1`, …), ready to be
-/// re-instantiated against a caller's symbols.
-#[derive(Clone, Debug)]
-pub struct PlanTemplate {
-    pub arena: ExprArena,
-    pub root: NodeId,
-}
-
-/// One cache entry: the plan template plus the facts needed to decide
-/// whether (and how cheaply) a later request may reuse it.
-#[derive(Clone, Debug)]
-pub struct CachedPlan {
-    pub template: PlanTemplate,
-    /// [`spores_core::NnzCost`] estimate at creation time.
-    pub cost: f64,
+/// One cache entry: a plan template over α-slot leaves (`$0`, `$1`, …),
+/// ready to be re-instantiated against a caller's symbols, plus the
+/// facts needed to decide whether (and how cheaply) a later request may
+/// reuse it.
+#[derive(Debug)]
+pub(crate) struct CachedPlan {
+    pub(crate) arena: ExprArena,
+    /// One template root per request root, in request order.
+    pub(crate) roots: Vec<NodeId>,
+    /// The cost the producing request was served at.
+    pub(crate) cost: f64,
     /// Pipeline phase timings of the run that produced the template.
-    pub timings: PhaseTimings,
+    pub(crate) timings: PhaseTimings,
     /// Did the producing run's saturation reach a fixpoint?
-    pub converged: bool,
+    pub(crate) converged: bool,
     /// Did the producing run's saturation hit its wall-clock budget?
-    pub timed_out: bool,
+    pub(crate) timed_out: bool,
     /// E-graph size of the producing run.
-    pub e_nodes: usize,
+    pub(crate) e_nodes: usize,
     /// Valid for any concrete sizes within the fingerprint's classes.
-    pub size_polymorphic: bool,
+    pub(crate) size_polymorphic: bool,
     /// Concrete per-slot shapes the template was optimized for (the
     /// exact-match key when `size_polymorphic` is false).
-    pub slot_shapes: Vec<Shape>,
+    pub(crate) slot_shapes: Vec<Shape>,
     /// Accepted re-check verdicts, seeded with the producing request's.
     pub(crate) verdicts: Verdicts,
 }
 
-/// What the sharded cache needs to know about an entry to run its
-/// admission and variant-replacement policies. Implemented by the
-/// single-statement [`CachedPlan`] and the workload-level
-/// [`crate::workload::CachedWorkloadPlan`]. The admission rule itself is
-/// a provided method so both caches always enforce the same policy.
-pub trait CacheEntry {
-    /// Valid at any concrete sizes within the fingerprint's classes?
-    fn size_polymorphic(&self) -> bool;
-    /// Concrete per-slot shapes the entry was optimized for.
-    fn slot_shapes(&self) -> &[Shape];
-
+impl CachedPlan {
     /// May a request with these per-slot shapes reuse this entry?
-    fn admits(&self, slot_shapes: &[Shape]) -> bool {
-        self.size_polymorphic() || self.slot_shapes() == slot_shapes
+    pub(crate) fn admits(&self, slot_shapes: &[Shape]) -> bool {
+        self.size_polymorphic || self.slot_shapes == slot_shapes
     }
 }
 
-impl CacheEntry for CachedPlan {
-    fn size_polymorphic(&self) -> bool {
-        self.size_polymorphic
-    }
-
-    fn slot_shapes(&self) -> &[Shape] {
-        &self.slot_shapes
-    }
-}
-
-struct Entry<P> {
-    plan: Arc<P>,
+struct Entry {
+    plan: Arc<CachedPlan>,
     /// Epoch-approximate recency stamp (see the module docs): written
     /// under the shard *read* lock by probes, so it must be atomic.
     last_used: AtomicU64,
 }
 
-struct ShardMap<P> {
-    entries: HashMap<String, Vec<Entry<P>>>,
+#[derive(Default)]
+struct ShardMap {
+    entries: HashMap<String, Vec<Entry>>,
     len: usize,
 }
 
-impl<P> Default for ShardMap<P> {
-    fn default() -> Self {
-        ShardMap {
-            entries: HashMap::new(),
-            len: 0,
-        }
-    }
-}
-
-struct Shard<P> {
-    map: RwLock<ShardMap<P>>,
+#[derive(Default)]
+struct Shard {
+    map: RwLock<ShardMap>,
     /// Per-shard LRU epoch: bumped by 2 on insert; probes stamp
     /// `epoch + 1` so a fresh insert always outranks probed entries.
     epoch: AtomicU64,
 }
 
-impl<P> Default for Shard<P> {
-    fn default() -> Self {
-        Shard {
-            map: RwLock::new(ShardMap::default()),
-            epoch: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Contention/degradation instruments a cache reports into, injected by
-/// the owning service so they live in *its* metrics registry (the
-/// "prove the regression is observable" half of the warm-path fix).
-/// All handles are optional-by-default ([`CacheInstruments::default`]
-/// counts into unregistered instruments that nothing renders).
+/// the owning service so they live in *its* metrics registry.
 #[derive(Clone)]
-pub struct CacheInstruments {
+pub(crate) struct CacheInstruments {
     /// Probes that found their shard lock held and had to block.
-    pub contended: Arc<Counter>,
+    pub(crate) contended: Arc<Counter>,
     /// Time (µs) probes spent blocked on a contended shard lock.
-    pub lock_wait_us: Arc<Log2Histogram>,
+    pub(crate) lock_wait_us: Arc<Log2Histogram>,
     /// Probes/inserts that found their shard poisoned by a panic.
-    pub poisoned: Arc<Counter>,
+    pub(crate) poisoned: Arc<Counter>,
 }
 
-impl Default for CacheInstruments {
-    fn default() -> Self {
-        CacheInstruments {
-            contended: Arc::new(Counter::new()),
-            lock_wait_us: Arc::new(Log2Histogram::new()),
-            poisoned: Arc::new(Counter::new()),
-        }
-    }
-}
-
-/// Sharded LRU over `canon → [variants]`, generic over the entry type
-/// (single-statement plan templates by default; workload templates via
-/// `ShardedCache<CachedWorkloadPlan>`). See the module docs for the
+/// Sharded LRU over `canon → [variants]`. See the module docs for the
 /// read-mostly lock discipline and poison semantics.
-pub struct ShardedCache<P: CacheEntry = CachedPlan> {
-    shards: Vec<Shard<P>>,
+pub(crate) struct ShardedCache {
+    shards: Vec<Shard>,
     /// Per-shard capacity (total capacity / shard count, at least 1).
     shard_capacity: usize,
-    /// Cap on size-pinned variants kept per canonical form.
-    max_variants: usize,
     evictions: AtomicU64,
     instruments: CacheInstruments,
 }
 
-impl<P: CacheEntry> ShardedCache<P> {
-    pub fn new(shards: usize, capacity: usize, max_variants: usize) -> ShardedCache<P> {
+impl ShardedCache {
+    pub(crate) fn new(
+        shards: usize,
+        capacity: usize,
+        instruments: CacheInstruments,
+    ) -> ShardedCache {
         let shards = shards.max(1);
         ShardedCache {
             shard_capacity: (capacity / shards).max(1),
             shards: (0..shards).map(|_| Shard::default()).collect(),
-            max_variants: max_variants.max(1),
             evictions: AtomicU64::new(0),
-            instruments: CacheInstruments::default(),
+            instruments,
         }
     }
 
-    /// Report contention/poison events into these instruments (chainable
-    /// at construction; the service wires its registry's handles in).
-    pub fn with_instruments(mut self, instruments: CacheInstruments) -> ShardedCache<P> {
-        self.instruments = instruments;
-        self
-    }
-
-    fn shard(&self, fp: &Fingerprint) -> &Shard<P> {
+    fn shard(&self, fp: &Fingerprint) -> &Shard {
         &self.shards[(fp.hash() as usize) % self.shards.len()]
     }
 
     /// Fetch a template admitting these per-slot shapes, updating LRU
     /// state. Read-locks one shard; a poisoned shard degrades to a miss.
-    pub fn get(&self, fp: &Fingerprint, slot_shapes: &[Shape]) -> Option<Arc<P>> {
+    pub(crate) fn get(&self, fp: &Fingerprint, slot_shapes: &[Shape]) -> Option<Arc<CachedPlan>> {
         let shard = self.shard(fp);
         let map = match shard.map.try_read() {
             Ok(guard) => guard,
@@ -296,7 +243,7 @@ impl<P: CacheEntry> ShardedCache<P> {
     /// evicting least-recently-used entries beyond the shard capacity.
     /// Takes the caller's `Arc` so cached plans are shared, not copied.
     /// Write-locks one shard; a poisoned shard is cleared and re-seeded.
-    pub fn insert(&self, fp: &Fingerprint, plan: Arc<P>) {
+    pub(crate) fn insert(&self, fp: &Fingerprint, plan: Arc<CachedPlan>) {
         let shard = self.shard(fp);
         let tick = shard.epoch.fetch_add(2, Ordering::Relaxed) + 2;
         let mut map = match shard.map.write() {
@@ -318,8 +265,8 @@ impl<P: CacheEntry> ShardedCache<P> {
             let variants = map.entries.entry(fp.canon().to_string()).or_default();
             // replace the variant with the same reuse key, if any
             let same_key = variants.iter_mut().find(|e| {
-                e.plan.size_polymorphic() == plan.size_polymorphic()
-                    && (plan.size_polymorphic() || e.plan.slot_shapes() == plan.slot_shapes())
+                e.plan.size_polymorphic == plan.size_polymorphic
+                    && (plan.size_polymorphic || e.plan.slot_shapes == plan.slot_shapes)
             });
             match same_key {
                 Some(entry) => {
@@ -327,15 +274,9 @@ impl<P: CacheEntry> ShardedCache<P> {
                     entry.last_used.store(tick, Ordering::Relaxed);
                 }
                 None => {
-                    if variants.len() >= self.max_variants {
+                    if variants.len() >= MAX_VARIANTS {
                         // too many size-pinned variants: drop the stalest
-                        let stale = variants
-                            .iter()
-                            .enumerate()
-                            .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                            .map(|(i, _)| i)
-                            .expect("variants non-empty");
-                        variants.remove(stale);
+                        variants.remove(stalest(variants));
                         grew -= 1;
                         variant_evictions += 1;
                     }
@@ -357,48 +298,42 @@ impl<P: CacheEntry> ShardedCache<P> {
     }
 
     /// Total cached templates across all shards (poisoned shards count 0).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.shards
             .iter()
             .map(|s| s.map.read().map_or(0, |m| m.len))
             .sum()
     }
 
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Entries displaced by the LRU policy so far.
-    pub fn evictions(&self) -> u64 {
+    pub(crate) fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
-    }
-
-    /// Probes that found their shard poisoned (degraded to misses).
-    pub fn poisoned_probes(&self) -> u64 {
-        self.instruments.poisoned.get()
     }
 }
 
-fn evict_lru<P>(map: &mut ShardMap<P>) {
-    let victim = map
-        .entries
-        .iter()
-        .flat_map(|(canon, variants)| {
-            variants
-                .iter()
-                .map(move |e| (canon.clone(), e.last_used.load(Ordering::Relaxed)))
-        })
-        .min_by_key(|&(_, used)| used)
-        .map(|(canon, _)| canon);
-    let Some(canon) = victim else { return };
-    let variants = map.entries.get_mut(&canon).expect("victim exists");
-    let stale = variants
+/// Index of the least recently used of one canonical form's variants.
+fn stalest(variants: &[Entry]) -> usize {
+    variants
         .iter()
         .enumerate()
         .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
         .map(|(i, _)| i)
-        .expect("victim non-empty");
-    variants.remove(stale);
+        .expect("variants non-empty")
+}
+
+fn evict_lru(map: &mut ShardMap) {
+    let victim = map
+        .entries
+        .iter()
+        .min_by_key(|(_, variants)| {
+            variants[stalest(variants)]
+                .last_used
+                .load(Ordering::Relaxed)
+        })
+        .map(|(canon, _)| canon.clone());
+    let Some(canon) = victim else { return };
+    let variants = map.entries.get_mut(&canon).expect("victim exists");
+    variants.remove(stalest(variants));
     map.len -= 1;
     if variants.is_empty() {
         map.entries.remove(&canon);
@@ -422,6 +357,11 @@ mod tests {
         (fp, a, root)
     }
 
+    fn cache(shards: usize, capacity: usize) -> ShardedCache {
+        let instruments = crate::stats::ServiceStats::default().cache_instruments();
+        ShardedCache::new(shards, capacity, instruments)
+    }
+
     fn plan(
         arena: &ExprArena,
         root: NodeId,
@@ -429,10 +369,8 @@ mod tests {
         shapes: Vec<Shape>,
     ) -> std::sync::Arc<CachedPlan> {
         std::sync::Arc::new(CachedPlan {
-            template: PlanTemplate {
-                arena: arena.clone(),
-                root,
-            },
+            arena: arena.clone(),
+            roots: vec![root],
             cost: 1.0,
             timings: PhaseTimings::default(),
             converged: true,
@@ -466,7 +404,7 @@ mod tests {
 
     #[test]
     fn polymorphic_entry_admits_any_sizes() {
-        let cache = ShardedCache::new(4, 16, 4);
+        let cache = cache(4, 16);
         let (fp, a, root) = fp_of("X + Y", 10, 10);
         cache.insert(&fp, plan(&a, root, true, vec![Shape::new(10, 10); 2]));
         assert!(cache
@@ -476,7 +414,7 @@ mod tests {
 
     #[test]
     fn pinned_entry_requires_exact_shapes() {
-        let cache = ShardedCache::new(4, 16, 4);
+        let cache = cache(4, 16);
         let (fp, a, root) = fp_of("X + Y", 10, 10);
         let shapes = vec![Shape::new(10, 10); 2];
         cache.insert(&fp, plan(&a, root, false, shapes.clone()));
@@ -493,7 +431,7 @@ mod tests {
 
     #[test]
     fn reinsert_replaces_same_key() {
-        let cache = ShardedCache::new(1, 16, 4);
+        let cache = cache(1, 16);
         let (fp, a, root) = fp_of("X + Y", 10, 10);
         cache.insert(&fp, plan(&a, root, true, vec![Shape::new(10, 10); 2]));
         cache.insert(&fp, plan(&a, root, true, vec![Shape::new(10, 10); 2]));
@@ -502,7 +440,7 @@ mod tests {
 
     #[test]
     fn lru_evicts_the_stalest_entry() {
-        let cache = ShardedCache::new(1, 2, 4);
+        let cache = cache(1, 2);
         let (fp1, a1, r1) = fp_of("X + Y", 10, 10);
         let (fp2, a2, r2) = fp_of("X * Y", 10, 10);
         let (fp3, a3, r3) = fp_of("X %*% Y", 10, 10);
@@ -517,5 +455,18 @@ mod tests {
         assert!(cache.get(&fp1, &shapes).is_some());
         assert!(cache.get(&fp2, &shapes).is_none());
         assert!(cache.get(&fp3, &shapes).is_some());
+    }
+
+    #[test]
+    fn pinned_variants_are_capped_per_canonical_form() {
+        let cache = cache(1, 64);
+        let (fp, a, root) = fp_of("X + Y", 10, 10);
+        for rows in 0..=MAX_VARIANTS as u64 {
+            cache.insert(&fp, plan(&a, root, false, vec![Shape::new(rows, 10); 2]));
+        }
+        assert_eq!(cache.len(), MAX_VARIANTS);
+        assert_eq!(cache.evictions(), 1);
+        // the first size was the stalest
+        assert!(cache.get(&fp, &[Shape::new(0, 10); 2]).is_none());
     }
 }

@@ -18,27 +18,29 @@
 //!   [`OptimizerService::try_optimize`] returns a hit, a pollable
 //!   [`Ticket`], or a typed [`ServiceError::Overloaded`] rejection with
 //!   a retry-after hint. Hits are re-checked against the cost model so
-//!   they are never worse than the caller's own plan.
-//! * [`ShardedCache`]/[`CachedPlan`] — the cache: canonical fingerprint →
-//!   plan template (α-renamed leaves), with size-polymorphic templates
-//!   reusable at any dimensions of the same shape classes and size-pinned
-//!   templates keyed by exact shapes. Probes take per-shard *read* locks
-//!   and stamp recency with per-shard epoch atomics, so a warm cache
-//!   scales with cores instead of serializing on shard mutexes.
+//!   they are never worse than the caller's own plan. A whole statement
+//!   bundle ([`WorkloadRequest`], [`OptimizerService::optimize_workload`])
+//!   takes the same flow as one cache entry.
+//! * The plan cache is internal: canonical fingerprint → plan template
+//!   (α-renamed leaves, one root per request root), with size-polymorphic
+//!   templates reusable at any dimensions of the same shape classes and
+//!   size-pinned templates keyed by exact shapes. Statements and bundles
+//!   share it and its [`ServiceConfig::capacity`]. Probes take per-shard
+//!   *read* locks and stamp recency with per-shard epoch atomics, so a
+//!   warm cache scales with cores instead of serializing on shard mutexes.
 //! * [`ServiceStats`] — hits/misses/coalesces/evictions/cost-rejections,
 //!   backpressure + contention gauges (queue depth, shard-lock waits,
 //!   poisoned shards, worker panics) plus a log₂ latency histogram.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
+mod cache;
 pub mod service;
 pub mod stats;
 pub mod workload;
 
-pub use cache::{CacheEntry, CacheInstruments, CachedPlan, PlanTemplate, ShardedCache};
 pub use service::{
     OptimizerService, PlanSource, Request, Served, ServiceConfig, ServiceError, Ticket, TryOptimize,
 };
 pub use stats::{LatencyHistogram, ServiceStats, StatsSnapshot};
-pub use workload::{CachedWorkloadPlan, ServedWorkload, WorkloadRequest};
+pub use workload::{ServedWorkload, WorkloadRequest};

@@ -1,6 +1,7 @@
 //! The concurrent optimizer front-end — a **two-tier** serving stack.
 //!
-//! Request lifecycle:
+//! Request lifecycle, the same for a statement ([`OptimizerService::optimize`])
+//! and a whole bundle ([`OptimizerService::optimize_workload`]):
 //!
 //! ```text
 //! request ── fingerprint ──► cache hit? ── verdict remembered? ──yes──► instantiate ──► serve (µs)
@@ -8,9 +9,9 @@
 //!                │                              ▼
 //!                │                 instantiate + cost re-check ──pass──► remember ──► serve (µs)
 //!                │                              │ fail
-//!                ▼                              ▼
-//!        in-flight already? ──yes──► ticket (coalesce)     inline pipeline
-//!                │ no
+//!                ▼                              │
+//!        in-flight already? ◄───────────────────┘
+//!                │ no        └──yes──► ticket (coalesce)
 //!                ▼
 //!        bounded worker queue ──full──► reject (retry-after) / run inline
 //!                │ enqueued
@@ -32,21 +33,21 @@
 //!   when the queue is full — a typed [`ServiceError::Overloaded`]
 //!   rejection with a retry-after hint, so one thread can keep thousands
 //!   of requests in flight and overload degrades into explicit
-//!   backpressure instead of unbounded buffering. The blocking
-//!   [`OptimizerService::optimize`] keeps its total API by running the
-//!   pipeline inline when the queue is full (caller-runs throttling).
+//!   backpressure instead of unbounded buffering. The blocking entry
+//!   points keep their total API by running the pipeline inline when the
+//!   queue is full (caller-runs throttling).
 //! * **Hits** never run saturation: the cached template is α-instantiated
 //!   with the caller's symbols and re-priced under the caller's concrete
-//!   metadata ([`spores_core::plan_cost`]); if the template prices worse
-//!   than the caller's own input plan (beyond a small slack for
-//!   estimator drift, [`COST_SLACK`]) — possible when sizes drifted
-//!   within a sparsity bucket — the hit is rejected and the request falls
-//!   through to the full pipeline, so a hit is never meaningfully worse
-//!   than what greedy re-optimization would have returned for the input.
-//!   Each entry remembers its accepted verdicts per exact request
-//!   metadata (seeded with the producing request's own), so a repeated
-//!   request skips the re-check and costs fingerprint + probe +
-//!   α-instantiation.
+//!   metadata ([`spores_core::plan_cost`], summed over the roots); if the
+//!   template prices worse than the caller's own input plan (beyond a
+//!   small slack for estimator drift, [`COST_SLACK`]) — possible when
+//!   sizes drifted within a sparsity bucket — the hit is rejected and the
+//!   request falls through to the full pipeline, so a hit is never
+//!   meaningfully worse than what greedy re-optimization would have
+//!   returned for the input. Each entry remembers its accepted verdicts
+//!   per exact request metadata (seeded with the producing request's
+//!   own), so a repeated request skips the re-check and costs fingerprint
+//!   + probe + α-instantiation.
 //! * **Single-flight**: concurrent identical fingerprints run the
 //!   pipeline once; the rest wait on the same computation. A panicking
 //!   pipeline resolves every waiter with a typed
@@ -56,11 +57,13 @@
 //!   constants, see [`spores_core::Optimized::size_polymorphic`]) are
 //!   only reused at exactly the sizes they were optimized for.
 
-use crate::cache::{CacheEntry, CachedPlan, PlanTemplate, ShardedCache, VerdictKey, Verdicts};
+use crate::cache::{CachedPlan, ShardedCache, VerdictKey, Verdicts};
 use crate::stats::{ServiceStats, StatsSnapshot};
-use crate::workload::{CachedWorkloadPlan, ServedWorkload, WorkloadRequest};
+use crate::workload::{ServedWorkload, WorkloadRequest};
+use spores_core::translate::TranslateError;
 use spores_core::{
-    plan_cost, workload_plan_cost, Optimized, Optimizer, OptimizerConfig, PhaseTimings, VarMeta,
+    plan_cost, workload_plan_cost, Optimizer, OptimizerConfig, PhaseTimings, SaturationStats,
+    VarMeta,
 };
 use spores_ir::{
     fingerprint, fingerprint_workload, ExprArena, Fingerprint, LeafClass, NodeId, Shape, Symbol,
@@ -92,16 +95,15 @@ pub struct ServiceConfig {
     /// Cache shards (read-locked contention domains); also the stripe
     /// count of the single-flight table.
     pub shards: usize,
-    /// Total cached plan templates across shards.
+    /// Total cached plan templates across shards, statements and bundles
+    /// together.
     pub capacity: usize,
     /// Worker threads running the pipeline for misses.
     pub workers: usize,
-    /// Size-pinned variants kept per canonical fingerprint.
-    pub max_variants: usize,
     /// Bounded miss-queue capacity (jobs buffered beyond the workers).
     /// When full, [`OptimizerService::try_optimize`] rejects with
-    /// [`ServiceError::Overloaded`] and [`OptimizerService::optimize`]
-    /// runs the pipeline inline on the caller's thread.
+    /// [`ServiceError::Overloaded`] and the blocking entry points run the
+    /// pipeline inline on the caller's thread.
     pub queue_capacity: usize,
 }
 
@@ -112,7 +114,6 @@ impl Default for ServiceConfig {
             shards: 8,
             capacity: 1024,
             workers: 4,
-            max_variants: 8,
             queue_capacity: 256,
         }
     }
@@ -141,6 +142,17 @@ pub enum PlanSource {
     Miss,
     /// Waited on an identical in-flight optimization.
     Coalesced,
+}
+
+impl PlanSource {
+    /// The value of a request span's `source` argument.
+    fn label(self) -> &'static str {
+        match self {
+            PlanSource::Hit => "hit",
+            PlanSource::Miss => "miss",
+            PlanSource::Coalesced => "coalesced",
+        }
+    }
 }
 
 /// A served plan.
@@ -187,9 +199,9 @@ pub enum ServiceError {
         /// Suggested backoff before retrying.
         retry_after: Duration,
     },
-    /// The worker running this request's (or its coalesced leader's)
-    /// pipeline panicked. The inflight entry has been drained — an
-    /// immediate retry starts a fresh flight.
+    /// The pipeline run for this request (or its coalesced leader)
+    /// panicked. The inflight entry has been drained — an immediate retry
+    /// starts a fresh flight.
     WorkerPanic(String),
 }
 
@@ -213,6 +225,132 @@ impl fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
+/// One unit of work: a statement or a whole bundle. Everything below the
+/// entry points runs on this, and only these methods know which of the
+/// two it holds.
+#[derive(Clone)]
+enum Work {
+    Statement(Request),
+    Bundle(WorkloadRequest),
+}
+
+/// A pipeline run's plan in the caller's symbols, one root per request
+/// root, with the cost its kind reports.
+struct Run {
+    arena: ExprArena,
+    roots: Vec<NodeId>,
+    cost: f64,
+    timings: PhaseTimings,
+    saturation: SaturationStats,
+    fell_back: bool,
+    size_polymorphic: bool,
+}
+
+impl Work {
+    fn vars(&self) -> &HashMap<Symbol, VarMeta> {
+        match self {
+            Work::Statement(r) => &r.vars,
+            Work::Bundle(r) => &r.vars,
+        }
+    }
+
+    /// The cache key: the bundle's canonical form extends the statement
+    /// one with per-root markers, so the two kinds never share a key.
+    fn fingerprint(&self) -> Result<Fingerprint, ServiceError> {
+        let classes: HashMap<Symbol, LeafClass> = self
+            .vars()
+            .iter()
+            .map(|(&s, m)| (s, LeafClass::classify(m.shape, m.sparsity)))
+            .collect();
+        match self {
+            Work::Statement(r) => fingerprint(&r.arena, r.root, &classes),
+            Work::Bundle(r) => fingerprint_workload(&r.workload.arena, &r.workload.roots, &classes),
+        }
+        .map_err(|e| ServiceError::Invalid(e.to_string()))
+    }
+
+    /// Run the full pipeline. A statement reports the pipeline's own
+    /// estimate; a bundle the summed `plan_cost` of its roots.
+    fn pipeline(&self, optimizer: &Optimizer) -> Result<Run, TranslateError> {
+        Ok(match self {
+            Work::Statement(r) => {
+                let o = optimizer.optimize(&r.arena, r.root, &r.vars)?;
+                Run {
+                    arena: o.arena,
+                    roots: vec![o.root],
+                    cost: o.cost_after,
+                    timings: o.timings,
+                    saturation: o.saturation,
+                    fell_back: o.fell_back,
+                    size_polymorphic: o.size_polymorphic,
+                }
+            }
+            Work::Bundle(r) => {
+                let o = optimizer.optimize_workload(&r.workload, &r.vars)?;
+                Run {
+                    cost: workload_plan_cost(&o.arena, &o.roots, &r.vars)?,
+                    roots: o.roots.iter().map(|&(_, root)| root).collect(),
+                    arena: o.arena,
+                    timings: o.timings,
+                    saturation: o.saturation,
+                    fell_back: o.fell_back,
+                    size_polymorphic: o.size_polymorphic,
+                }
+            }
+        })
+    }
+
+    /// Summed `plan_cost` of the input's roots under the caller's
+    /// metadata: what a hit's re-check compares the template against.
+    fn input_cost(&self) -> Option<f64> {
+        match self {
+            Work::Statement(r) => plan_cost(&r.arena, r.root, &r.vars),
+            Work::Bundle(r) => workload_plan_cost(&r.workload.arena, &r.workload.roots, &r.vars),
+        }
+        .ok()
+    }
+
+    /// The caller's root names, in request order (a statement has none).
+    fn root_names(&self) -> impl Iterator<Item = Symbol> + '_ {
+        let roots: &[(Symbol, NodeId)] = match self {
+            Work::Statement(_) => &[],
+            Work::Bundle(r) => &r.workload.roots,
+        };
+        roots.iter().map(|&(name, _)| name)
+    }
+}
+
+/// A plan served for one unit of work, before the entry point gives it
+/// its public shape ([`Served`] or [`ServedWorkload`]).
+struct Outcome {
+    arena: ExprArena,
+    /// One plan root per request root, in request order.
+    roots: Vec<NodeId>,
+    cost: f64,
+    /// Source and latency are stamped once the request concludes.
+    source: PlanSource,
+    latency: Duration,
+    /// The entry it was instantiated from: provenance of the producing run.
+    plan: Arc<CachedPlan>,
+}
+
+impl Outcome {
+    /// The one-root projection: a statement's plan.
+    fn served(self) -> Served {
+        Served {
+            arena: self.arena,
+            root: self.roots[0],
+            cost: self.cost,
+            source: self.source,
+            latency: self.latency,
+            timings: self.plan.timings,
+            converged: self.plan.converged,
+            timed_out: self.plan.timed_out,
+            e_nodes: self.plan.e_nodes,
+        }
+    }
+}
+
 /// How an in-flight pipeline run concluded for its waiters.
 #[derive(Clone, Debug)]
 enum FlightError {
@@ -228,21 +366,36 @@ enum FlightError {
 type FlightResult = Result<Arc<CachedPlan>, FlightError>;
 type InflightStripe = Mutex<HashMap<String, Vec<Sender<FlightResult>>>>;
 
+/// One request's claim on an in-flight pipeline run.
+struct Flight {
+    fp: Fingerprint,
+    rx: Receiver<FlightResult>,
+    /// Joined another request's flight rather than starting one.
+    coalesced: bool,
+    /// When the request started: its latency clock.
+    t0: Instant,
+}
+
+/// Where an entry point stands once the caller's thread is done with it.
+enum Started {
+    Hit(Outcome),
+    Flying(Flight),
+}
+
 struct Job {
-    request: Request,
+    work: Work,
     fp: Fingerprint,
 }
 
 struct Inner {
     config: ServiceConfig,
+    /// The one plan cache, statements and bundles alike.
     cache: ShardedCache,
-    /// Workload-level plan cache: one entry per whole statement bundle.
-    workload_cache: ShardedCache<CachedWorkloadPlan>,
     stats: ServiceStats,
     /// canon → waiters (single-flight registry), striped by fingerprint
     /// hash like the cache shards so concurrent misses on different
     /// shapes don't serialize on one global mutex. The submitting
-    /// request's own sender is registered too, so the worker resolves
+    /// request's own sender is registered too, so the flight resolves
     /// everyone the same way.
     inflight: Vec<InflightStripe>,
     /// Test hook: panic inside the next N pipeline runs (see
@@ -266,7 +419,7 @@ impl Inner {
     }
 
     /// Run the full pipeline and package the outcome as a cacheable plan.
-    fn run_pipeline(&self, request: &Request, fp: &Fingerprint) -> Result<Arc<CachedPlan>, String> {
+    fn run_pipeline(&self, work: &Work, fp: &Fingerprint) -> Result<Arc<CachedPlan>, String> {
         if self.panic_injections.load(Ordering::Relaxed) > 0
             && self
                 .panic_injections
@@ -277,34 +430,53 @@ impl Inner {
         }
         let _span = spores_telemetry::span!("service.compile");
         let optimizer = Optimizer::new(self.config.optimizer.clone());
-        let got: Optimized = optimizer
-            .optimize(&request.arena, request.root, &request.vars)
-            .map_err(|e| e.to_string())?;
+        let run = work.pipeline(&optimizer).map_err(|e| e.to_string())?;
         // α-rename the optimized plan into template space ($0, $1, …)
-        let (tpl_arena, tpl_root) = got.arena.rename_vars(got.root, &fp.to_template_map());
+        let (arena, roots) = run
+            .arena
+            .rename_vars_multi(&run.roots, &fp.to_template_map());
         let plan = Arc::new(CachedPlan {
-            template: PlanTemplate {
-                arena: tpl_arena,
-                root: tpl_root,
-            },
-            cost: got.cost_after,
-            timings: got.timings,
-            converged: got.saturation.converged,
+            arena,
+            roots,
+            cost: run.cost,
+            timings: run.timings,
+            converged: run.saturation.converged,
             timed_out: matches!(
-                got.saturation.stop_reason,
+                run.saturation.stop_reason,
                 Some(spores_egraph::StopReason::TimeLimit(_))
             ),
-            e_nodes: got.saturation.e_nodes,
-            size_polymorphic: got.size_polymorphic,
-            slot_shapes: slot_shapes(fp, &request.vars),
+            e_nodes: run.saturation.e_nodes,
+            size_polymorphic: run.size_polymorphic,
+            slot_shapes: slot_shapes(fp, work.vars()),
             // the miss serves this plan to this request unchecked, so a
             // repeat of it may be served the same way
-            verdicts: Verdicts::seeded(verdict_key(fp, &request.vars), got.cost_after),
+            verdicts: Verdicts::seeded(verdict_key(fp, work.vars()), run.cost),
         });
-        if !got.fell_back {
+        if !run.fell_back {
             self.cache.insert(fp, plan.clone());
         }
         Ok(plan)
+    }
+
+    /// Run one flight to its end, on a worker or (caller-runs) on the
+    /// submitter's thread. A panicking pipeline must still resolve the
+    /// in-flight entry — otherwise the submitter and every coalesced
+    /// waiter block on their receivers forever — so it is caught and
+    /// surfaced to them as a typed [`FlightError::Panicked`].
+    fn fly(&self, work: &Work, fp: &Fingerprint) {
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.run_pipeline(work, fp).map_err(FlightError::Failed)
+        }))
+        .unwrap_or_else(|panic| {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "optimizer pipeline panicked".to_string());
+            self.stats.worker_panics.inc();
+            Err(FlightError::Panicked(msg))
+        });
+        self.resolve(fp, &result);
     }
 
     /// Resolve the in-flight entry for this fingerprint, waking every
@@ -358,13 +530,9 @@ impl OptimizerService {
         // could idle while try_optimize rejects
         let queue_capacity = config.queue_capacity.max(workers);
         let stats = ServiceStats::default();
-        let instruments = stats.cache_instruments();
         let stripes = config.shards.max(1);
         let inner = Arc::new(Inner {
-            cache: ShardedCache::new(config.shards, config.capacity, config.max_variants)
-                .with_instruments(instruments.clone()),
-            workload_cache: ShardedCache::new(config.shards, config.capacity, config.max_variants)
-                .with_instruments(instruments),
+            cache: ShardedCache::new(config.shards, config.capacity, stats.cache_instruments()),
             stats,
             inflight: (0..stripes).map(|_| Mutex::new(HashMap::new())).collect(),
             panic_injections: AtomicU32::new(0),
@@ -373,36 +541,17 @@ impl OptimizerService {
         let pool = {
             let inner = inner.clone();
             WorkerPool::bounded("spores-opt", workers, queue_capacity, move |job: Job| {
-                // A panicking pipeline must still resolve the in-flight
-                // entry — otherwise the submitter and every coalesced
-                // waiter block on their receivers forever. The panic is
-                // surfaced to them as a typed FlightError::Panicked.
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    inner
-                        .run_pipeline(&job.request, &job.fp)
-                        .map_err(FlightError::Failed)
-                }))
-                .unwrap_or_else(|panic| {
-                    let msg = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| s.to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "optimizer pipeline panicked".to_string());
-                    inner.stats.worker_panics.inc();
-                    Err(FlightError::Panicked(msg))
-                });
-                inner.resolve(&job.fp, &result);
+                inner.fly(&job.work, &job.fp);
             })
         };
         OptimizerService { inner, pool }
     }
 
-    /// Live counters (evictions summed over both plan caches).
+    /// Live counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats.snapshot(
-            self.inner.cache.evictions() + self.inner.workload_cache.evictions(),
-            self.pool.queue_depth(),
-        )
+        self.inner
+            .stats
+            .snapshot(self.inner.cache.evictions(), self.pool.queue_depth())
     }
 
     /// Latency quantile (µs upper bound) over all served requests.
@@ -423,10 +572,9 @@ impl OptimizerService {
     /// histogram with explicit `le="<µs>"` bucket bounds. Serve this as
     /// a scrape endpoint body or dump it for ad-hoc inspection.
     pub fn metrics_text(&self) -> String {
-        self.inner.stats.render_text(
-            self.inner.cache.evictions() + self.inner.workload_cache.evictions(),
-            self.pool.queue_depth(),
-        )
+        self.inner
+            .stats
+            .render_text(self.inner.cache.evictions(), self.pool.queue_depth())
     }
 
     /// Write the process-global telemetry journal as Chrome trace-event
@@ -438,7 +586,7 @@ impl OptimizerService {
         spores_telemetry::dump_chrome_trace(path)
     }
 
-    /// Number of cached plan templates.
+    /// Number of cached plan templates, statements and bundles together.
     pub fn cached_plans(&self) -> usize {
         self.inner.cache.len()
     }
@@ -465,39 +613,40 @@ impl OptimizerService {
     /// pipeline runs inline on this thread (caller-runs backpressure).
     pub fn optimize(&self, request: Request) -> Result<Served, ServiceError> {
         let mut req_span = spores_telemetry::span!("service.request");
-        let result = self.optimize_inner(request);
-        if let Ok(served) = &result {
-            req_span.arg(
-                "source",
-                match served.source {
-                    PlanSource::Hit => "hit",
-                    PlanSource::Miss => "miss",
-                    PlanSource::Coalesced => "coalesced",
-                },
-            );
-        }
-        result
+        let out = self.serve(&Work::Statement(request))?;
+        req_span.arg("source", out.source.label());
+        Ok(out.served())
     }
 
-    fn optimize_inner(&self, request: Request) -> Result<Served, ServiceError> {
-        let t0 = Instant::now();
-        let fp = self.fingerprint_request(&request)?;
-
-        if let Some(served) = self.try_hit(&request, &fp, t0) {
-            return Ok(served);
-        }
-
-        match self.submit_blocking(&request, &fp) {
-            Submission::Wait { rx, coalesced } => self.finish(&request, &fp, rx, coalesced, t0),
-            Submission::Inline => {
-                let result = self
-                    .inner
-                    .run_pipeline(&request, &fp)
-                    .map_err(FlightError::Failed);
-                self.inner.resolve(&fp, &result);
-                self.conclude_miss(&request, &fp, result, PlanSource::Miss, t0)
-            }
-        }
+    /// Optimize a whole workload bundle as ONE unit, through the same
+    /// flow as [`OptimizerService::optimize`]: a single workload-level
+    /// fingerprint keys the cache, a hit re-instantiates the entire
+    /// multi-root template (µs), and a miss runs the shared one-pass
+    /// pipeline ([`spores_core::Optimizer::optimize_workload`]) on the
+    /// worker pool and caches the α-renamed result.
+    pub fn optimize_workload(
+        &self,
+        request: WorkloadRequest,
+    ) -> Result<ServedWorkload, ServiceError> {
+        let mut req_span = spores_telemetry::span!(
+            "service.request",
+            kind = "workload",
+            roots = request.workload.roots.len(),
+        );
+        let work = Work::Bundle(request);
+        let out = self.serve(&work)?;
+        req_span.arg("source", out.source.label());
+        Ok(ServedWorkload {
+            roots: work.root_names().zip(out.roots).collect(),
+            arena: out.arena,
+            cost: out.cost,
+            source: out.source,
+            latency: out.latency,
+            timings: out.plan.timings,
+            converged: out.plan.converged,
+            timed_out: out.plan.timed_out,
+            e_nodes: out.plan.e_nodes,
+        })
     }
 
     /// Non-blocking front door: returns the hit synchronously, a
@@ -507,58 +656,21 @@ impl OptimizerService {
     /// poll them, which is what lets a single front-end thread multiplex
     /// thousands of in-flight requests.
     pub fn try_optimize(&self, request: Request) -> Result<TryOptimize<'_>, ServiceError> {
-        let t0 = Instant::now();
-        let fp = self.fingerprint_request(&request)?;
-
-        if let Some(served) = self.try_hit(&request, &fp, t0) {
-            // synchronous completion: give the hit its request span here
-            // (pending tickets conclude later, outside any span scope)
-            let mut req_span = spores_telemetry::span!("service.request");
-            req_span.arg("source", "hit");
-            return Ok(TryOptimize::Ready(served));
-        }
-
-        match self.register(&fp) {
-            Registration::Coalesced(rx) => Ok(TryOptimize::Pending(Ticket {
+        let work = Work::Statement(request);
+        match self.start(&work, true)? {
+            Started::Hit(out) => {
+                // synchronous completion: give the hit its request span here
+                // (pending tickets conclude later, outside any span scope)
+                let mut req_span = spores_telemetry::span!("service.request");
+                req_span.arg("source", "hit");
+                Ok(TryOptimize::Ready(out.served()))
+            }
+            Started::Flying(flight) => Ok(TryOptimize::Pending(Ticket {
                 svc: self,
-                request,
-                fp,
-                rx,
-                coalesced: true,
-                t0,
+                work,
+                flight,
                 done: false,
             })),
-            Registration::First(rx) => {
-                let job = Job {
-                    request: request.clone(),
-                    fp: fp.clone(),
-                };
-                match self.pool.try_submit(job) {
-                    Ok(()) => Ok(TryOptimize::Pending(Ticket {
-                        svc: self,
-                        request,
-                        fp,
-                        rx,
-                        coalesced: false,
-                        t0,
-                        done: false,
-                    })),
-                    Err(TrySubmitError::Full(_)) => {
-                        // reject-with-retry-after: drain our entry and
-                        // bounce any waiters that coalesced onto it in
-                        // the registration window
-                        self.inner.stats.rejections.inc();
-                        self.inner.resolve(&fp, &Err(FlightError::Rejected));
-                        Err(self.overloaded())
-                    }
-                    Err(TrySubmitError::Shutdown(_)) => {
-                        // dropping the entry disconnects racing waiters,
-                        // whose recv then reports Shutdown too
-                        Inner::lock_stripe(self.inner.stripe(&fp)).remove(fp.canon());
-                        Err(ServiceError::Shutdown)
-                    }
-                }
-            }
         }
     }
 
@@ -570,257 +682,110 @@ impl OptimizerService {
         // interleave begin/ends on this thread (all submits, then all
         // waits), breaking the stack discipline the trace format needs.
         let _span = spores_telemetry::span!("service.batch", requests = requests.len());
-        enum Pending {
-            Done(Result<Served, ServiceError>),
-            Wait {
-                request: Request,
-                fp: Fingerprint,
-                rx: Receiver<FlightResult>,
-                coalesced: bool,
-                t0: Instant,
-            },
-        }
-        let pending: Vec<Pending> = requests
+        // every request starts (its own latency clock included) before
+        // any miss is waited on
+        let started: Vec<_> = requests
             .into_iter()
             .map(|request| {
-                // per-request clock: a request's latency spans from when
-                // *it* starts processing (not from batch start) to when
-                // its result is ready — for waiters that includes the
-                // in-flight pipeline run they queue behind
-                let t0 = Instant::now();
-                let fp = match self.fingerprint_request(&request) {
-                    Ok(fp) => fp,
-                    Err(e) => return Pending::Done(Err(e)),
-                };
-                if let Some(served) = self.try_hit(&request, &fp, t0) {
-                    return Pending::Done(Ok(served));
-                }
-                match self.submit_blocking(&request, &fp) {
-                    Submission::Wait { rx, coalesced } => Pending::Wait {
-                        request,
-                        fp,
-                        rx,
-                        coalesced,
-                        t0,
-                    },
-                    Submission::Inline => {
-                        let result = self
-                            .inner
-                            .run_pipeline(&request, &fp)
-                            .map_err(FlightError::Failed);
-                        self.inner.resolve(&fp, &result);
-                        Pending::Done(self.conclude_miss(
-                            &request,
-                            &fp,
-                            result,
-                            PlanSource::Miss,
-                            t0,
-                        ))
-                    }
-                }
+                let work = Work::Statement(request);
+                self.start(&work, false).map(|s| (work, s))
             })
             .collect();
-        pending
+        started
             .into_iter()
-            .map(|p| match p {
-                Pending::Done(r) => r,
-                Pending::Wait {
-                    request,
-                    fp,
-                    rx,
-                    coalesced,
-                    t0,
-                } => self.finish(&request, &fp, rx, coalesced, t0),
+            .map(|s| match s? {
+                (_, Started::Hit(out)) => Ok(out.served()),
+                (work, Started::Flying(flight)) => self.finish(&work, &flight).map(Outcome::served),
             })
             .collect()
     }
 
-    /// Optimize a whole workload bundle as ONE unit: a single
-    /// workload-level fingerprint keys the cache, a hit re-instantiates
-    /// the entire multi-root template (µs), and a miss runs the shared
-    /// one-pass pipeline ([`spores_core::Optimizer::optimize_workload`])
-    /// inline and caches the α-renamed result.
-    pub fn optimize_workload(
-        &self,
-        request: WorkloadRequest,
-    ) -> Result<ServedWorkload, ServiceError> {
-        let mut req_span = spores_telemetry::span!(
-            "service.request",
-            kind = "workload",
-            roots = request.workload.roots.len(),
-        );
-        let t0 = Instant::now();
-        let classes: HashMap<Symbol, LeafClass> = request
-            .vars
-            .iter()
-            .map(|(&s, m)| (s, LeafClass::classify(m.shape, m.sparsity)))
-            .collect();
-        let fp = fingerprint_workload(&request.workload.arena, &request.workload.roots, &classes)
-            .map_err(|e| ServiceError::Invalid(e.to_string()))?;
-        let shapes = slot_shapes(&fp, &request.vars);
+    // ---- request plumbing -----------------------------------------------
 
-        if let Some(plan) = self.inner.workload_cache.get(&fp, &shapes) {
-            let probe_span = spores_telemetry::span!("service.cache_probe", kind = "workload");
-            let outcome = self.instantiate_workload(&request, &fp, &plan);
-            drop(probe_span);
-            match outcome {
-                Ok(mut served) => {
-                    self.inner.stats.hits.add(1);
-                    req_span.arg("source", "hit");
-                    served.latency = t0.elapsed();
-                    self.inner.stats.latency.record(served.latency);
-                    return Ok(served);
+    /// The blocking flow of one unit of work.
+    fn serve(&self, work: &Work) -> Result<Outcome, ServiceError> {
+        match self.start(work, false)? {
+            Started::Hit(out) => Ok(out),
+            Started::Flying(flight) => self.finish(work, &flight),
+        }
+    }
+
+    /// The caller's-thread half of every entry point: a hit, or a claim
+    /// on a flight. A miss registers in the striped single-flight table;
+    /// the first registrant enqueues the job. On a full queue the
+    /// non-blocking door rejects (`reject_when_full`) and the blocking
+    /// ones run the flight inline.
+    fn start(&self, work: &Work, reject_when_full: bool) -> Result<Started, ServiceError> {
+        let t0 = Instant::now();
+        let fp = work.fingerprint()?;
+        if let Some(hit) = self.try_hit(work, &fp, t0) {
+            return Ok(Started::Hit(hit));
+        }
+        let (tx, rx) = channel::<FlightResult>();
+        let coalesced = {
+            let mut stripe = Inner::lock_stripe(self.inner.stripe(&fp));
+            match stripe.get_mut(fp.canon()) {
+                Some(waiters) => {
+                    waiters.push(tx);
+                    true
                 }
-                Err(RejectedHit) => {
-                    self.inner.stats.cost_rejections.add(1);
+                None => {
+                    stripe.insert(fp.canon().to_string(), vec![tx]);
+                    false
+                }
+            }
+        };
+        if !coalesced {
+            let job = Job {
+                work: work.clone(),
+                fp: fp.clone(),
+            };
+            match self.pool.try_submit(job) {
+                Ok(()) => {}
+                Err(TrySubmitError::Full(_)) if reject_when_full => {
+                    // reject-with-retry-after: drain our entry and
+                    // bounce any waiters that coalesced onto it in the
+                    // registration window
+                    self.inner.stats.rejections.inc();
+                    self.inner.resolve(&fp, &Err(FlightError::Rejected));
+                    return Err(self.overloaded());
+                }
+                Err(TrySubmitError::Shutdown(_)) if reject_when_full => {
+                    // dropping the entry disconnects racing waiters,
+                    // whose recv then reports Shutdown too
+                    Inner::lock_stripe(self.inner.stripe(&fp)).remove(fp.canon());
+                    return Err(ServiceError::Shutdown);
+                }
+                Err(full_or_shutdown) => {
+                    // caller-runs backpressure: our entry stays in the
+                    // table so racing duplicates coalesce onto this
+                    // inline run, which resolves them and us alike
+                    if matches!(full_or_shutdown, TrySubmitError::Full(_)) {
+                        self.inner.stats.inline_runs.inc();
+                    }
+                    self.inner.fly(work, &fp);
                 }
             }
         }
-
-        // miss: run the shared pipeline inline (workload compiles are
-        // whole-program requests — rare and heavyweight enough that the
-        // per-statement worker pool's coalescing matters little here).
-        // The pipeline's own output is served directly; only the cache
-        // keeps the α-renamed template copy.
-        let (plan, arena, roots) = self.run_workload_pipeline(&request, &fp, &shapes)?;
-        self.inner.stats.misses.add(1);
-        req_span.arg("source", "miss");
-        let latency = t0.elapsed();
-        self.inner.stats.latency.record(latency);
-        Ok(ServedWorkload {
-            arena,
-            roots,
-            cost: plan.cost,
-            source: PlanSource::Miss,
-            latency,
-            timings: plan.timings,
-            converged: plan.converged,
-            timed_out: plan.timed_out,
-            e_nodes: plan.e_nodes,
-        })
-    }
-
-    /// Run the workload pipeline, cache the α-renamed multi-root
-    /// template, and return it along with the pipeline's direct output
-    /// (already in the caller's symbols — no re-instantiation needed).
-    #[allow(clippy::type_complexity)]
-    fn run_workload_pipeline(
-        &self,
-        request: &WorkloadRequest,
-        fp: &Fingerprint,
-        shapes: &[Shape],
-    ) -> Result<(Arc<CachedWorkloadPlan>, ExprArena, Vec<(Symbol, NodeId)>), ServiceError> {
-        let _span = spores_telemetry::span!("service.compile", kind = "workload");
-        let optimizer = Optimizer::new(self.inner.config.optimizer.clone());
-        let got = optimizer
-            .optimize_workload(&request.workload, &request.vars)
-            .map_err(|e| ServiceError::Invalid(e.to_string()))?;
-        let root_ids: Vec<NodeId> = got.roots.iter().map(|&(_, id)| id).collect();
-        let (tpl_arena, tpl_roots) = got
-            .arena
-            .rename_vars_multi(&root_ids, &fp.to_template_map());
-        let cost = workload_plan_cost(&got.arena, &got.roots, &request.vars)
-            .map_err(|e| ServiceError::Invalid(e.to_string()))?;
-        let plan = Arc::new(CachedWorkloadPlan {
-            arena: tpl_arena,
-            roots: tpl_roots,
-            cost,
-            timings: got.timings,
-            converged: got.saturation.converged,
-            timed_out: matches!(
-                got.saturation.stop_reason,
-                Some(spores_egraph::StopReason::TimeLimit(_))
-            ),
-            e_nodes: got.saturation.e_nodes,
-            size_polymorphic: got.size_polymorphic,
-            slot_shapes: shapes.to_vec(),
-            verdicts: Verdicts::seeded(verdict_key(fp, &request.vars), cost),
-        });
-        if !got.fell_back {
-            self.inner.workload_cache.insert(fp, plan.clone());
-        }
-        Ok((plan, got.arena, got.roots))
-    }
-
-    /// α-instantiate a workload template for this request's symbols; the
-    /// caller's root names are re-attached positionally.
-    fn materialize_workload(
-        plan: &CachedWorkloadPlan,
-        request: &WorkloadRequest,
-        fp: &Fingerprint,
-    ) -> (ExprArena, Vec<(Symbol, NodeId)>) {
-        let (arena, roots) = plan
-            .arena
-            .rename_vars_multi(&plan.roots, &fp.from_template_map());
-        let named = request
-            .workload
-            .roots
-            .iter()
-            .map(|&(name, _)| name)
-            .zip(roots)
-            .collect();
-        (arena, named)
-    }
-
-    /// Instantiate a cached workload template and re-check its summed
-    /// cost against the caller's own statements at the caller's metadata.
-    fn instantiate_workload(
-        &self,
-        request: &WorkloadRequest,
-        fp: &Fingerprint,
-        plan: &CachedWorkloadPlan,
-    ) -> Result<ServedWorkload, RejectedHit> {
-        let (arena, roots) = Self::materialize_workload(plan, request, fp);
-        let cost = self.verdict(&plan.verdicts, verdict_key(fp, &request.vars), || {
-            let input = &request.workload;
-            Some((
-                workload_plan_cost(&arena, &roots, &request.vars).ok()?,
-                workload_plan_cost(&input.arena, &input.roots, &request.vars).ok()?,
-            ))
-        })?;
-        Ok(ServedWorkload {
-            arena,
-            roots,
-            cost,
-            source: PlanSource::Hit,
-            latency: Duration::ZERO,
-            timings: plan.timings,
-            converged: plan.converged,
-            timed_out: plan.timed_out,
-            e_nodes: plan.e_nodes,
-        })
-    }
-
-    // ---- request plumbing -----------------------------------------------
-
-    fn fingerprint_request(&self, request: &Request) -> Result<Fingerprint, ServiceError> {
-        let classes: HashMap<Symbol, LeafClass> = request
-            .vars
-            .iter()
-            .map(|(&s, m)| (s, LeafClass::classify(m.shape, m.sparsity)))
-            .collect();
-        fingerprint(&request.arena, request.root, &classes)
-            .map_err(|e| ServiceError::Invalid(e.to_string()))
+        Ok(Started::Flying(Flight {
+            fp,
+            rx,
+            coalesced,
+            t0,
+        }))
     }
 
     /// The cache-hit fast path: a read-locked cache probe, then
     /// instantiate + cost re-check, all on the caller's thread. No
     /// worker queue, no inflight table, no exclusive lock.
-    fn try_hit(&self, request: &Request, fp: &Fingerprint, t0: Instant) -> Option<Served> {
+    fn try_hit(&self, work: &Work, fp: &Fingerprint, t0: Instant) -> Option<Outcome> {
         let mut probe_span = spores_telemetry::span!("service.cache_probe");
-        let shapes = slot_shapes(fp, &request.vars);
+        let shapes = slot_shapes(fp, work.vars());
         let plan = self.inner.cache.get(fp, &shapes)?;
-        match self.instantiate(request, fp, &plan) {
-            Ok(served) => {
+        match self.instantiate(work, fp, plan) {
+            Ok(out) => {
                 probe_span.arg("outcome", "hit");
-                self.inner.stats.hits.add(1);
-                let latency = t0.elapsed();
-                self.inner.stats.latency.record(latency);
-                Some(Served {
-                    latency,
-                    source: PlanSource::Hit,
-                    ..served
-                })
+                Some(self.tally(out, PlanSource::Hit, t0))
             }
             Err(RejectedHit) => {
                 probe_span.arg("outcome", "rejected");
@@ -830,32 +795,19 @@ impl OptimizerService {
         }
     }
 
-    /// α-instantiate a template for this request's symbols.
-    fn materialize(plan: &CachedPlan, fp: &Fingerprint) -> (ExprArena, NodeId) {
-        plan.template
+    /// α-instantiate a template for this request's symbols, at the
+    /// template's own cost.
+    fn materialize(plan: Arc<CachedPlan>, fp: &Fingerprint) -> Outcome {
+        let (arena, roots) = plan
             .arena
-            .rename_vars(plan.template.root, &fp.from_template_map())
-    }
-
-    /// Package a materialized plan with the template's provenance facts
-    /// (latency is stamped by the caller once the request concludes).
-    fn served(
-        plan: &CachedPlan,
-        arena: ExprArena,
-        root: NodeId,
-        cost: f64,
-        source: PlanSource,
-    ) -> Served {
-        Served {
+            .rename_vars_multi(&plan.roots, &fp.from_template_map());
+        Outcome {
             arena,
-            root,
-            cost,
-            source,
+            roots,
+            cost: plan.cost,
+            source: PlanSource::Miss,
             latency: Duration::ZERO,
-            timings: plan.timings,
-            converged: plan.converged,
-            timed_out: plan.timed_out,
-            e_nodes: plan.e_nodes,
+            plan,
         }
     }
 
@@ -863,18 +815,20 @@ impl OptimizerService {
     /// cost against the caller's own plan at the caller's metadata.
     fn instantiate(
         &self,
-        request: &Request,
+        work: &Work,
         fp: &Fingerprint,
-        plan: &CachedPlan,
-    ) -> Result<Served, RejectedHit> {
-        let (arena, root) = Self::materialize(plan, fp);
-        let cost = self.verdict(&plan.verdicts, verdict_key(fp, &request.vars), || {
-            Some((
-                plan_cost(&arena, root, &request.vars).ok()?,
-                plan_cost(&request.arena, request.root, &request.vars).ok()?,
-            ))
+        plan: Arc<CachedPlan>,
+    ) -> Result<Outcome, RejectedHit> {
+        let mut out = Self::materialize(plan, fp);
+        let vars = work.vars();
+        out.cost = self.verdict(&out.plan.verdicts, verdict_key(fp, vars), || {
+            let roots = out.roots.iter();
+            let cost = roots
+                .map(|&root| plan_cost(&out.arena, root, vars).ok())
+                .sum::<Option<f64>>()?;
+            Some((cost, work.input_cost()?))
         })?;
-        Ok(Self::served(plan, arena, root, cost, PlanSource::Hit))
+        Ok(out)
     }
 
     /// The cost to serve a cached plan at, or a rejection. A verdict the
@@ -901,52 +855,18 @@ impl OptimizerService {
         Ok(cost)
     }
 
-    /// Register this fingerprint in the striped single-flight table.
-    fn register(&self, fp: &Fingerprint) -> Registration {
-        let (tx, rx) = channel::<FlightResult>();
-        let mut stripe = Inner::lock_stripe(self.inner.stripe(fp));
-        match stripe.get_mut(fp.canon()) {
-            Some(waiters) => {
-                waiters.push(tx);
-                Registration::Coalesced(rx)
-            }
-            None => {
-                stripe.insert(fp.canon().to_string(), vec![tx]);
-                Registration::First(rx)
-            }
+    /// Count a concluded request under its source and stamp its latency.
+    fn tally(&self, mut out: Outcome, source: PlanSource, t0: Instant) -> Outcome {
+        let stats = &self.inner.stats;
+        match source {
+            PlanSource::Hit => stats.hits.add(1),
+            PlanSource::Miss => stats.misses.add(1),
+            PlanSource::Coalesced => stats.coalesced.add(1),
         }
-    }
-
-    /// Register in the single-flight table and enqueue if first, for the
-    /// blocking entry points: a full (or shut down) queue degrades to
-    /// running the pipeline inline on the caller's thread.
-    fn submit_blocking(&self, request: &Request, fp: &Fingerprint) -> Submission {
-        match self.register(fp) {
-            Registration::Coalesced(rx) => Submission::Wait {
-                rx,
-                coalesced: true,
-            },
-            Registration::First(rx) => {
-                let job = Job {
-                    request: request.clone(),
-                    fp: fp.clone(),
-                };
-                match self.pool.try_submit(job) {
-                    Ok(()) => Submission::Wait {
-                        rx,
-                        coalesced: false,
-                    },
-                    Err(TrySubmitError::Full(_)) => {
-                        // caller-runs backpressure: our entry stays in
-                        // the table so racing duplicates coalesce onto
-                        // this inline run; resolve() wakes them
-                        self.inner.stats.inline_runs.inc();
-                        Submission::Inline
-                    }
-                    Err(TrySubmitError::Shutdown(_)) => Submission::Inline,
-                }
-            }
-        }
+        out.source = source;
+        out.latency = t0.elapsed();
+        stats.latency.record(out.latency);
+        out
     }
 
     /// Typed backpressure error with the current queue state.
@@ -962,26 +882,11 @@ impl OptimizerService {
     }
 
     /// Wait for the in-flight computation and serve its result.
-    fn finish(
-        &self,
-        request: &Request,
-        fp: &Fingerprint,
-        rx: Receiver<FlightResult>,
-        coalesced: bool,
-        t0: Instant,
-    ) -> Result<Served, ServiceError> {
-        let wait_span = spores_telemetry::span!("service.queue_wait", coalesced = coalesced);
-        let result = match rx.recv() {
-            Ok(r) => r,
-            Err(_) => return Err(ServiceError::Shutdown),
-        };
+    fn finish(&self, work: &Work, flight: &Flight) -> Result<Outcome, ServiceError> {
+        let wait_span = spores_telemetry::span!("service.queue_wait", coalesced = flight.coalesced);
+        let result = flight.rx.recv().map_err(|_| ServiceError::Shutdown)?;
         drop(wait_span);
-        let source = if coalesced {
-            PlanSource::Coalesced
-        } else {
-            PlanSource::Miss
-        };
-        self.conclude_miss(request, fp, result, source, t0)
+        self.conclude_miss(work, flight, result)
     }
 
     /// Run the pipeline on the caller's thread and serve it as a miss —
@@ -989,33 +894,25 @@ impl OptimizerService {
     /// flight).
     fn run_inline_miss(
         &self,
-        request: &Request,
+        work: &Work,
         fp: &Fingerprint,
         t0: Instant,
-    ) -> Result<Served, ServiceError> {
+    ) -> Result<Outcome, ServiceError> {
         let plan = self
             .inner
-            .run_pipeline(request, fp)
+            .run_pipeline(work, fp)
             .map_err(ServiceError::Invalid)?;
-        let (arena, root) = Self::materialize(&plan, fp);
-        self.inner.stats.misses.add(1);
-        let latency = t0.elapsed();
-        self.inner.stats.latency.record(latency);
-        Ok(Served {
-            latency,
-            ..Self::served(&plan, arena, root, plan.cost, PlanSource::Miss)
-        })
+        Ok(self.tally(Self::materialize(plan, fp), PlanSource::Miss, t0))
     }
 
     /// Turn a pipeline result into a served plan for *this* request.
     fn conclude_miss(
         &self,
-        request: &Request,
-        fp: &Fingerprint,
+        work: &Work,
+        flight: &Flight,
         result: FlightResult,
-        source: PlanSource,
-        t0: Instant,
-    ) -> Result<Served, ServiceError> {
+    ) -> Result<Outcome, ServiceError> {
+        let Flight { fp, t0, .. } = flight;
         let plan = match result {
             Ok(plan) => plan,
             // Our flight leader hit a full queue and bounced us. Only the
@@ -1023,7 +920,7 @@ impl OptimizerService {
             // waiters keep their contract — a plan, at caller-runs cost.
             Err(FlightError::Rejected) => {
                 self.inner.stats.inline_runs.inc();
-                return self.run_inline_miss(request, fp, t0);
+                return self.run_inline_miss(work, fp, *t0);
             }
             Err(FlightError::Failed(m)) => return Err(ServiceError::Invalid(m)),
             Err(FlightError::Panicked(m)) => return Err(ServiceError::WorkerPanic(m)),
@@ -1035,32 +932,18 @@ impl OptimizerService {
         // reuses it only under the same admission + cost re-check rule as
         // a cache hit; otherwise it runs its own pipeline inline (the
         // cache now likely holds the template, so this is rare).
-        let my_shapes = slot_shapes(fp, &request.vars);
-        let served = if source != PlanSource::Coalesced {
-            let (arena, root) = Self::materialize(&plan, fp);
-            Ok(Self::served(&plan, arena, root, plan.cost, source))
-        } else if plan.admits(&my_shapes) {
-            self.instantiate(request, fp, &plan)
-        } else {
-            Err(RejectedHit)
-        };
-        match served {
-            Ok(served) => {
-                match source {
-                    PlanSource::Coalesced => self.inner.stats.coalesced.add(1),
-                    _ => self.inner.stats.misses.add(1),
-                };
-                let latency = t0.elapsed();
-                self.inner.stats.latency.record(latency);
-                Ok(Served {
-                    latency,
-                    source,
-                    ..served
-                })
-            }
-            Err(RejectedHit) => {
+        if !flight.coalesced {
+            return Ok(self.tally(Self::materialize(plan, fp), PlanSource::Miss, *t0));
+        }
+        let shapes = slot_shapes(fp, work.vars());
+        match Some(plan)
+            .filter(|plan| plan.admits(&shapes))
+            .map(|plan| self.instantiate(work, fp, plan))
+        {
+            Some(Ok(out)) => Ok(self.tally(out, PlanSource::Coalesced, *t0)),
+            _ => {
                 self.inner.stats.cost_rejections.add(1);
-                self.run_inline_miss(request, fp, t0)
+                self.run_inline_miss(work, fp, *t0)
             }
         }
     }
@@ -1084,18 +967,15 @@ pub enum TryOptimize<'s> {
 /// cache, the result is simply not delivered.
 pub struct Ticket<'s> {
     svc: &'s OptimizerService,
-    request: Request,
-    fp: Fingerprint,
-    rx: Receiver<FlightResult>,
-    coalesced: bool,
-    t0: Instant,
+    work: Work,
+    flight: Flight,
     done: bool,
 }
 
 impl Ticket<'_> {
     /// Did this ticket coalesce onto an identical in-flight request?
     pub fn coalesced(&self) -> bool {
-        self.coalesced
+        self.flight.coalesced
     }
 
     /// Non-blocking completion check: `None` while the flight is still
@@ -1105,61 +985,26 @@ impl Ticket<'_> {
         if self.done {
             return None;
         }
-        match self.rx.try_recv() {
-            Ok(result) => {
-                self.done = true;
-                Some(self.conclude(result))
-            }
-            Err(TryRecvError::Empty) => None,
-            Err(TryRecvError::Disconnected) => {
-                self.done = true;
-                Some(Err(ServiceError::Shutdown))
-            }
-        }
+        let result = match self.flight.rx.try_recv() {
+            Ok(result) => self.svc.conclude_miss(&self.work, &self.flight, result),
+            Err(TryRecvError::Empty) => return None,
+            Err(TryRecvError::Disconnected) => Err(ServiceError::Shutdown),
+        };
+        self.done = true;
+        Some(result.map(Outcome::served))
     }
 
     /// Block until the flight concludes. Records a `service.queue_wait`
     /// span for the blocked interval — the span warm hits must never
     /// produce.
-    pub fn wait(mut self) -> Result<Served, ServiceError> {
+    pub fn wait(self) -> Result<Served, ServiceError> {
         if self.done {
             return Err(ServiceError::Shutdown);
         }
-        let wait_span = spores_telemetry::span!("service.queue_wait", coalesced = self.coalesced);
-        let result = match self.rx.recv() {
-            Ok(r) => r,
-            Err(_) => return Err(ServiceError::Shutdown),
-        };
-        drop(wait_span);
-        self.done = true;
-        self.conclude(result)
-    }
-
-    fn conclude(&self, result: FlightResult) -> Result<Served, ServiceError> {
-        let source = if self.coalesced {
-            PlanSource::Coalesced
-        } else {
-            PlanSource::Miss
-        };
         self.svc
-            .conclude_miss(&self.request, &self.fp, result, source, self.t0)
+            .finish(&self.work, &self.flight)
+            .map(Outcome::served)
     }
-}
-
-enum Registration {
-    /// An identical request is already in flight; we are a waiter.
-    Coalesced(Receiver<FlightResult>),
-    /// We are the first; our sender is registered alongside any future
-    /// coalescers, and we own submitting the job.
-    First(Receiver<FlightResult>),
-}
-
-enum Submission {
-    Wait {
-        rx: Receiver<FlightResult>,
-        coalesced: bool,
-    },
-    Inline,
 }
 
 /// Marker: a cached template failed the hit admission/cost re-check.

@@ -97,10 +97,10 @@ pub struct ServiceStats {
     /// `try_optimize` submissions rejected because the bounded miss
     /// queue was full (explicit backpressure).
     pub rejections: Arc<Counter>,
-    /// Blocking `optimize` calls that found the queue full and ran the
-    /// pipeline inline on the caller's thread (caller-runs throttling).
+    /// Blocking calls that found the queue full and ran the pipeline
+    /// inline on the caller's thread (caller-runs throttling).
     pub inline_runs: Arc<Counter>,
-    /// Pipeline runs that panicked on a worker thread (the worker
+    /// Pipeline flights that panicked, on a worker or inline (the thread
     /// survived; every waiter got a typed `WorkerPanic` error).
     pub worker_panics: Arc<Counter>,
     /// Cache probes that found their shard's read lock contended
@@ -115,8 +115,8 @@ pub struct ServiceStats {
     pub shard_poisoned: Arc<Counter>,
     /// End-to-end request latencies (hits and misses alike).
     pub latency: LatencyHistogram,
-    /// Evictions live on the caches, not here; this gauge mirrors their
-    /// sum into the exposition at render time.
+    /// Evictions live on the plan cache, not here; this gauge mirrors
+    /// them into the exposition at render time.
     evictions: Arc<Gauge>,
     /// Jobs waiting in the bounded miss queue; mirrored from the worker
     /// pool at render/snapshot time like `evictions`.
@@ -163,9 +163,9 @@ impl Default for ServiceStats {
 }
 
 impl ServiceStats {
-    /// The instrument handles the sharded caches record into — same
+    /// The instrument handles the plan cache records into — same
     /// registry, so contention shows up in `metrics_text()`.
-    pub fn cache_instruments(&self) -> CacheInstruments {
+    pub(crate) fn cache_instruments(&self) -> CacheInstruments {
         CacheInstruments {
             contended: self.probe_contended.clone(),
             lock_wait_us: self.shard_lock_wait.clone(),
@@ -173,7 +173,7 @@ impl ServiceStats {
         }
     }
 
-    /// Point-in-time copy of the counters. Evictions live on the caches
+    /// Point-in-time copy of the counters. Evictions live on the cache
     /// and queue depth on the worker pool, not here — both are filled in
     /// by the snapshot's caller ([`crate::OptimizerService::stats`]).
     pub fn snapshot(&self, evictions: u64, queue_depth: usize) -> StatsSnapshot {

@@ -5,24 +5,22 @@
 //! [`spores_core::Optimizer::optimize_workload`]: one shared e-graph,
 //! one saturation pass, one multi-root plan with cross-statement CSE.
 //! The cache key is the *workload-level* fingerprint
-//! ([`spores_ir::fingerprint_workload`]) — the same α-renaming the
-//! single-statement cache uses, applied over the multi-root DAG plus the
+//! ([`spores_ir::fingerprint_workload`]) — the same α-renaming a
+//! statement's fingerprint uses, applied over the multi-root DAG plus the
 //! def-use wiring of statement names — so a repeated workload hits the
 //! cache as ONE entry, and a hit re-instantiates the whole multi-root
 //! template (sharing preserved) without touching saturation.
 //!
-//! Hits run the same guard as single-statement hits: the instantiated
-//! template is re-priced under the caller's metadata and rejected when
-//! it prices worse than the caller's own statements (beyond the
-//! estimator-drift slack), so a workload hit is never meaningfully worse
-//! than not having had a cache at all. Accepted verdicts are remembered
-//! per exact metadata in the entry, as for single-statement hits.
+//! A bundle takes the statement's request flow end to end
+//! ([`crate::OptimizerService::optimize_workload`]): the same cache and
+//! capacity, the same cost re-check and remembered verdicts on a hit, and
+//! on a miss the same single-flight table, bounded worker queue and typed
+//! [`crate::ServiceError::WorkerPanic`].
 
-use crate::cache::{CacheEntry, Verdicts};
 use crate::service::PlanSource;
 use spores_core::PhaseTimings;
 use spores_core::VarMeta;
-use spores_ir::{ExprArena, NodeId, Shape, Symbol, WorkloadExpr};
+use spores_ir::{ExprArena, NodeId, Symbol, WorkloadExpr};
 use std::collections::HashMap;
 use std::time::Duration;
 
@@ -60,35 +58,4 @@ pub struct ServedWorkload {
     pub converged: bool,
     pub timed_out: bool,
     pub e_nodes: usize,
-}
-
-/// One workload cache entry: the α-renamed multi-root template plus the
-/// facts needed for admission, mirroring [`crate::cache::CachedPlan`].
-#[derive(Clone, Debug)]
-pub struct CachedWorkloadPlan {
-    /// Template arena over `$k` slot leaves.
-    pub arena: ExprArena,
-    /// Template plan roots, positionally matching the request's roots.
-    pub roots: Vec<NodeId>,
-    /// Summed plan cost at creation time.
-    pub cost: f64,
-    pub timings: PhaseTimings,
-    pub converged: bool,
-    pub timed_out: bool,
-    pub e_nodes: usize,
-    pub size_polymorphic: bool,
-    /// Concrete per-slot shapes the template was optimized for.
-    pub slot_shapes: Vec<Shape>,
-    /// Accepted re-check verdicts, seeded with the producing request's.
-    pub(crate) verdicts: Verdicts,
-}
-
-impl CacheEntry for CachedWorkloadPlan {
-    fn size_polymorphic(&self) -> bool {
-        self.size_polymorphic
-    }
-
-    fn slot_shapes(&self) -> &[Shape] {
-        &self.slot_shapes
-    }
 }

@@ -6,8 +6,10 @@
 
 use spores_core::{OptimizerConfig, VarMeta};
 use spores_ir::{parse_expr, ExprArena, Symbol};
+use spores_ml::{workload_bundle, workloads};
 use spores_service::{
     OptimizerService, PlanSource, Request, ServiceConfig, ServiceError, TryOptimize,
+    WorkloadRequest,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Barrier};
@@ -109,6 +111,29 @@ fn coalesced_waiters_are_drained_with_a_typed_error() {
     // the inflight entry was removed: the same shape optimizes cleanly
     let served = svc.optimize(als_request(2000)).expect("post-panic flight");
     assert_eq!(served.source, PlanSource::Miss);
+}
+
+#[test]
+fn a_panicking_bundle_pipeline_is_a_typed_error_too() {
+    let svc = service(1);
+    let bundle = workload_bundle(&workloads::glm(200, 40, 7));
+    let request = WorkloadRequest::new(bundle.expr, bundle.vars);
+    svc.inject_pipeline_panics(1);
+    let err = svc.optimize_workload(request.clone()).unwrap_err();
+    assert!(
+        matches!(err, ServiceError::WorkerPanic(_)),
+        "expected WorkerPanic, got {err:?}"
+    );
+    assert_eq!(svc.stats().worker_panics, 1);
+    // the bundle's fingerprint is not wedged either
+    let served = svc
+        .optimize_workload(request.clone())
+        .expect("retry after panic");
+    assert_eq!(served.source, PlanSource::Miss);
+    assert_eq!(
+        svc.optimize_workload(request).unwrap().source,
+        PlanSource::Hit
+    );
 }
 
 #[test]

@@ -4,8 +4,12 @@
 
 use spores_core::{plan_cost, Optimizer, OptimizerConfig, VarMeta};
 use spores_ir::{parse_expr, ExprArena, Symbol};
-use spores_service::{OptimizerService, PlanSource, Request, ServiceConfig};
+use spores_ml::{workload_bundle, workloads};
+use spores_service::{
+    OptimizerService, PlanSource, Request, ServedWorkload, ServiceConfig, WorkloadRequest,
+};
 use std::collections::HashMap;
+use std::sync::{Arc, Barrier};
 
 fn vars(list: &[(&str, (u64, u64), f64)]) -> HashMap<Symbol, VarMeta> {
     list.iter()
@@ -214,6 +218,68 @@ fn batch_coalesces_duplicate_statements() {
     // (if it finished fast enough) hit the cache
     assert_eq!(stats.misses, 1, "{stats:?}");
     assert_eq!(stats.coalesced + stats.hits, 2, "{stats:?}");
+}
+
+fn bundle_request(program: &workloads::Workload) -> WorkloadRequest {
+    let bundle = workload_bundle(program);
+    WorkloadRequest::new(bundle.expr, bundle.vars)
+}
+
+/// `name = text` of every served root.
+fn roots_text(served: &ServedWorkload) -> Vec<String> {
+    served
+        .roots
+        .iter()
+        .map(|&(name, root)| format!("{name} = {}", served.arena.display(root)))
+        .collect()
+}
+
+#[test]
+fn concurrent_cold_bundles_run_one_pipeline() {
+    let svc = Arc::new(quick_service());
+    let request = bundle_request(&workloads::als(200, 100, 8, 7));
+    let barrier = Arc::new(Barrier::new(2));
+    let threads: Vec<_> = (0..2)
+        .map(|_| {
+            let (svc, request, barrier) = (svc.clone(), request.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                barrier.wait();
+                svc.optimize_workload(request).unwrap()
+            })
+        })
+        .collect();
+    let served: Vec<ServedWorkload> = threads.into_iter().map(|t| t.join().unwrap()).collect();
+    let stats = svc.stats();
+    assert_eq!(stats.misses, 1, "{stats:?}");
+    let mut sources: Vec<PlanSource> = served.iter().map(|s| s.source).collect();
+    sources.retain(|&s| s != PlanSource::Miss);
+    assert!(
+        matches!(sources[..], [PlanSource::Coalesced | PlanSource::Hit]),
+        "{sources:?}"
+    );
+    assert_eq!(roots_text(&served[0]), roots_text(&served[1]));
+}
+
+#[test]
+fn statements_and_bundles_share_one_capacity() {
+    let svc = OptimizerService::new(ServiceConfig {
+        optimizer: OptimizerConfig {
+            node_limit: 2_000,
+            iter_limit: 6,
+            ..OptimizerConfig::default()
+        },
+        shards: 1,
+        capacity: 2,
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let vs = vars(&[("A", (50, 50), 1.0), ("B", (50, 50), 1.0)]);
+    svc.optimize(request("A %*% B", &vs)).unwrap();
+    for program in [workloads::glm(200, 40, 7), workloads::svm(200, 40, 7)] {
+        svc.optimize_workload(bundle_request(&program)).unwrap();
+    }
+    assert_eq!(svc.stats().evictions, 1);
+    assert_eq!(svc.cached_plans(), 2);
 }
 
 #[test]
