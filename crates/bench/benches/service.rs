@@ -43,8 +43,8 @@ fn roster() -> Vec<Workload> {
     ]
 }
 
-/// The per-statement service requests of a workload (shared with
-/// `compile_with_service`, so the bench measures the real request stream).
+/// The per-statement service requests of a workload (the stream the
+/// ledger's service workloads send, so the bench measures real requests).
 fn statement_requests(w: &Workload) -> Vec<Request> {
     spores_ml::runner::statement_requests(w)
         .into_iter()

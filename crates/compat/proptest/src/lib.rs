@@ -3,15 +3,16 @@
 //!
 //! The build environment for this workspace has no network access to a
 //! registry, so the workspace vendors the subset of the proptest API its
-//! tests actually use: the [`Strategy`] trait with `prop_map` /
-//! `prop_flat_map` / `prop_recursive`, [`prop_oneof!`], [`Just`],
-//! [`any`](arbitrary::any), `prop::collection::vec`, the [`proptest!`]
-//! test macro, and the `prop_assert*` family.
+//! tests actually use: the [`Strategy`](strategy::Strategy) trait with
+//! `prop_map` / `prop_flat_map` / `prop_recursive`, [`prop_oneof!`],
+//! [`Just`](strategy::Just), [`any`](arbitrary::any),
+//! `prop::collection::vec`, the [`proptest!`] test macro, and the
+//! `prop_assert*` family.
 //!
 //! Differences from real proptest, deliberately accepted:
 //!
 //! * **Value-based shrinking, not value trees.** On failure the runner
-//!   greedily minimizes the inputs via [`Strategy::shrink`] (bounded at
+//!   greedily minimizes the inputs via [`Strategy::shrink`](strategy::Strategy::shrink) (bounded at
 //!   256 attempts): scalars halve toward the range floor (or zero for
 //!   `any`), vectors halve their length, drop single elements, and
 //!   shrink elements in place, tuples shrink component-wise, and

@@ -67,10 +67,6 @@ impl Context {
         self.index_dims.insert(name.into(), dim);
         self
     }
-
-    pub fn register_index(&mut self, name: Symbol, dim: u64) {
-        self.index_dims.insert(name, dim);
-    }
 }
 
 /// Sorted set of (attribute, dimension) pairs — the schema of a relation.

@@ -720,6 +720,43 @@ mod tests {
         assert!(polyterm_isomorphic(&a, &b));
     }
 
+    /// Lemma 2.2 rests on isomorphism, not homomorphism: in Appendix
+    /// Example 2 there is a homomorphism t1 → t2 ([v,s ↦ j], [w,z ↦ k])
+    /// but none back, so the two canonical forms must stay apart, while
+    /// each one's α-variant (renamed bound indices) merges with it.
+    #[test]
+    fn example_2_homomorphic_terms_are_not_isomorphic() {
+        let d = [
+            ("i", 5),
+            ("j", 5),
+            ("k", 5),
+            ("v", 5),
+            ("w", 5),
+            ("s", 5),
+            ("z", 5),
+        ];
+        let t1 = canon(
+            "(sum v (sum w (sum s (sum z (* (b i v A) (* (b v w B) (* (b i s A) (b s z B))))))))",
+            &d,
+        );
+        let t2 = canon(
+            "(sum j (sum k (* (b i j A) (* (b j k B) (* (b i j A) (b j k B))))))",
+            &d,
+        );
+        assert!(!polyterm_isomorphic(&t1, &t2));
+        assert!(!polyterm_isomorphic(&t2, &t1));
+        let t1_alpha = canon(
+            "(sum z (sum s (sum w (sum v (* (b i z A) (* (b z s B) (* (b i w A) (b w v B))))))))",
+            &d,
+        );
+        let t2_alpha = canon(
+            "(sum v (sum w (* (b i v A) (* (b v w B) (* (b i v A) (b v w B))))))",
+            &d,
+        );
+        assert!(polyterm_isomorphic(&t1, &t1_alpha));
+        assert!(polyterm_isomorphic(&t2, &t2_alpha));
+    }
+
     #[test]
     fn transposed_occurrence_not_isomorphic() {
         // the appendix's caveat: Σ x(i,j)y(i,j) vs Σ x(i,j)y(j,i) differ

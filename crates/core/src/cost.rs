@@ -2,7 +2,7 @@
 //!
 //! "Each operation usually has cost proportional to the output size in
 //! terms of memory allocation and computation. Since the size of a matrix
-//! is proportional to its number of non-zeroes (nnz), we use [the]
+//! is proportional to its number of non-zeroes (nnz), we use \[the\]
 //! estimate of nnz as the cost for each operation."
 //!
 //! The estimate itself is the class invariant maintained by

@@ -98,11 +98,6 @@ impl Math {
         Math::Sym(name.into())
     }
 
-    /// Is this one of the three RA operators (join/union/aggregate)?
-    pub fn is_ra_op(&self) -> bool {
-        matches!(self, Math::Add(_) | Math::Mul(_) | Math::Agg(_))
-    }
-
     /// Is this one of the LA operators of Table 1?
     pub fn is_la_op(&self) -> bool {
         matches!(
@@ -116,28 +111,6 @@ impl Math {
                 | Math::Srow(_)
                 | Math::Scol(_)
                 | Math::Sall(_)
-        )
-    }
-
-    /// Point-wise scalar function applied cell-wise / multiplicity-wise?
-    pub fn is_pointwise_fn(&self) -> bool {
-        matches!(
-            self,
-            Math::Pow(_)
-                | Math::Inv(_)
-                | Math::Exp(_)
-                | Math::Log(_)
-                | Math::Sqrt(_)
-                | Math::Abs(_)
-                | Math::Sign(_)
-                | Math::Sigmoid(_)
-                | Math::Sprop(_)
-                | Math::Gt(_)
-                | Math::Lt(_)
-                | Math::Ge(_)
-                | Math::Le(_)
-                | Math::BMin(_)
-                | Math::BMax(_)
         )
     }
 }
@@ -335,10 +308,8 @@ mod tests {
     fn realm_classification() {
         let add = Math::Add([Id::from(0usize), Id::from(0usize)]);
         let ladd = Math::LAdd([Id::from(0usize), Id::from(0usize)]);
-        let exp = Math::Exp(Id::from(0usize));
-        assert!(add.is_ra_op() && !add.is_la_op());
-        assert!(ladd.is_la_op() && !ladd.is_ra_op());
-        assert!(exp.is_pointwise_fn());
+        assert!(!add.is_la_op());
+        assert!(ladd.is_la_op());
     }
 
     #[test]

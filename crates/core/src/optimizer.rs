@@ -17,7 +17,7 @@ use crate::cost::NnzCost;
 use crate::extract::{extract_greedy_costed, extract_ilp_multi, IlpStats};
 use crate::lang::MathExpr;
 use crate::lower::lower_workload;
-use crate::rules::{default_rules, MathRewrite};
+use crate::rules::default_rules;
 use crate::translate::{translate, translate_roots, TranslateError};
 use spores_egraph::{
     Extractor, Id, MatchingMode, ParallelConfig, RegionConfig, Runner, Scheduler, StopReason,
@@ -164,21 +164,11 @@ impl Optimized {
 #[derive(Clone, Debug, Default)]
 pub struct Optimizer {
     pub config: OptimizerConfig,
-    /// Override the rule set (defaults to R_EQ + custom equations).
-    pub rules: Option<Vec<MathRewrite>>,
 }
 
 impl Optimizer {
     pub fn new(config: OptimizerConfig) -> Optimizer {
-        Optimizer {
-            config,
-            rules: None,
-        }
-    }
-
-    pub fn with_rules(mut self, rules: Vec<MathRewrite>) -> Self {
-        self.rules = Some(rules);
-        self
+        Optimizer { config }
     }
 
     /// Optimize the LA expression rooted at `root`: the one-root case of
@@ -228,10 +218,7 @@ impl Optimizer {
         // ---- saturate (R_EQ; one e-graph, every root in it) ------------
         let span = spores_telemetry::span!("optimize.saturate");
         let t0 = Instant::now();
-        let rules = match &self.rules {
-            Some(r) => r.clone(),
-            None => default_rules(),
-        };
+        let rules = default_rules();
         // The sampling scheduler caps match applications *per rule per
         // iteration*; a union graph of N statements has ~N× the match
         // surface. With regions the runner scales the cap by the number

@@ -49,45 +49,3 @@ impl<L: Language> Analysis<L> for () {
         DidMerge(false, false)
     }
 }
-
-/// Helper for merging `Option<T>` data where `Some` beats `None` and two
-/// `Some`s are reconciled by `f`.
-pub fn merge_option<T>(
-    a: &mut Option<T>,
-    b: Option<T>,
-    f: impl FnOnce(&mut T, T) -> DidMerge,
-) -> DidMerge {
-    match (a.as_mut(), b) {
-        (None, None) => DidMerge(false, false),
-        (None, b @ Some(_)) => {
-            *a = b;
-            DidMerge(true, false)
-        }
-        (Some(_), None) => DidMerge(false, true),
-        (Some(a), Some(b)) => f(a, b),
-    }
-}
-
-/// Merge by taking the maximum (returns which side changed).
-pub fn merge_max<T: PartialOrd>(a: &mut T, b: T) -> DidMerge {
-    if *a < b {
-        *a = b;
-        DidMerge(true, false)
-    } else if b < *a {
-        DidMerge(false, true)
-    } else {
-        DidMerge(false, false)
-    }
-}
-
-/// Merge by taking the minimum (returns which side changed).
-pub fn merge_min<T: PartialOrd>(a: &mut T, b: T) -> DidMerge {
-    if b < *a {
-        *a = b;
-        DidMerge(true, false)
-    } else if *a < b {
-        DidMerge(false, true)
-    } else {
-        DidMerge(false, false)
-    }
-}

@@ -14,13 +14,14 @@ use crate::relational::RelIndex;
 use crate::unionfind::UnionFind;
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// Cached `SPORES_AUDIT` gate: 0 = not yet read, 1 = off, 2 = on.
 static AUDIT_GATE: AtomicU8 = AtomicU8::new(0);
 
 /// Should every [`EGraph::rebuild`] finish with a full
 /// [`EGraph::check_invariants`] sweep (congruence, memo, op-index,
-/// `RelIndex`, dirty set)?
+/// dirty set)?
 ///
 /// Driven by the `SPORES_AUDIT` environment variable (`1`/`true` enables;
 /// read once and cached) or [`set_rebuild_audit`]. Off by default: the
@@ -99,12 +100,13 @@ pub struct EGraph<L: Language, A: Analysis<L>> {
     op_index: FxHashMap<OpKey, Vec<Id>>,
     /// (op, arity, child-slot) -> sorted canonical ids of classes
     /// appearing in that child position — the relational e-matching
-    /// index ([`crate::relational`]). [`EGraph::add`] sorted-inserts a
-    /// fresh node's children (they can be any existing classes, unlike
-    /// the strictly increasing op-head ids); [`EGraph::rebuild`]
-    /// canonicalizes entries in place, re-sorting only columns that
-    /// moved. Like `op_index`, only read on clean graphs.
-    rel_index: RelIndex,
+    /// index ([`crate::relational`]). Built on first read by
+    /// [`RelIndex::rebuild_from`] over the class nodes and dropped by
+    /// [`EGraph::add`] and [`EGraph::rebuild`], the two operations that
+    /// change the node set (a union only moves nodes between classes),
+    /// so structural search never pays for it and parallel search
+    /// threads share one build per clean graph.
+    rel_index: OnceLock<RelIndex>,
     /// Classes touched since the last [`EGraph::take_dirty`]: fresh
     /// classes from [`EGraph::add`], the surviving root of every
     /// [`EGraph::union`] (including congruence unions), and — closed
@@ -136,7 +138,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             pending: Vec::new(),
             analysis_pending: Vec::new(),
             op_index: FxHashMap::default(),
-            rel_index: RelIndex::default(),
+            rel_index: OnceLock::new(),
             dirty: FxHashSet::default(),
             n_unions: 0,
             clean: true,
@@ -200,12 +202,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             .unwrap_or_else(|| panic!("no class for id {id}"))
     }
 
-    /// Mutable access to a class's analysis data.
-    pub fn class_data_mut(&mut self, id: Id) -> &mut A::Data {
-        let id = self.find(id);
-        &mut self.classes.get_mut(&id).expect("class exists").data
-    }
-
     fn canonicalize(&self, node: L) -> L {
         node.map_children(|c| self.find(c))
     }
@@ -222,13 +218,15 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
     /// column of the relational e-matching index. Empty for absent
     /// keys. Only meaningful on a clean graph.
     pub fn classes_with_op_child(&self, op: OpKey, arity: usize, slot: usize) -> &[Id] {
-        self.rel_index.column(op, arity, slot)
+        self.rel_index().column(op, arity, slot)
     }
 
-    /// The full relational index (tests and diagnostics; search goes
-    /// through [`EGraph::classes_with_op_child`]).
+    /// The full relational index, built now if the node set changed
+    /// since the last build (search goes through
+    /// [`EGraph::classes_with_op_child`]).
     pub fn rel_index(&self) -> &RelIndex {
-        &self.rel_index
+        self.rel_index
+            .get_or_init(|| RelIndex::rebuild_from(self.classes.values().flat_map(|c| &c.nodes)))
     }
 
     /// Look up the class containing `enode` without inserting it.
@@ -248,10 +246,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
         let ids = self.op_index.entry(enode.op_key()).or_default();
         debug_assert!(ids.last() < Some(&id), "fresh ids keep the index sorted");
         ids.push(id);
-        // Adds keep the graph clean, so the relational index must be
-        // search-ready immediately (a sweep may run with no rebuild in
-        // between).
-        self.rel_index.insert_node(&enode);
+        self.rel_index.take();
         // A fresh class only ever gains parents that are themselves
         // fresh (later) adds, so marking just `id` keeps the dirty set
         // closed under parents without a propagation pass here.
@@ -495,28 +490,7 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
             ids.dedup();
         }
 
-        // The relational index is maintained incrementally: remap every
-        // column entry through the union-find instead of a wholesale
-        // recompute (columns where nothing moved skip their re-sort).
-        self.rel_index.canonicalize(uf);
-    }
-
-    /// Are the two expressions in the same class (without inserting)?
-    pub fn equivs(&self, a: &RecExpr<L>, b: &RecExpr<L>) -> bool {
-        match (self.lookup_expr(a), self.lookup_expr(b)) {
-            (Some(x), Some(y)) => x == y,
-            _ => false,
-        }
-    }
-
-    /// Extract *some* concrete term from class `id` (smallest by node
-    /// count). Useful for debugging and error messages.
-    pub fn id_to_expr(&self, id: Id) -> RecExpr<L> {
-        let extractor = crate::extract::Extractor::new(self, crate::extract::AstSize);
-        extractor
-            .find_best(id)
-            .expect("class has an extractable term")
-            .1
+        self.rel_index.take();
     }
 
     /// Debug validation of the e-graph invariants; panics on violation.
@@ -577,16 +551,6 @@ impl<L: Language, A: Analysis<L>> EGraph<L, A> {
                 );
             }
         }
-        // relational index: the incrementally maintained columns must
-        // equal from-scratch construction over the canonical class
-        // nodes (HashMap equality is key-set + per-column equality, so
-        // this covers spurious, missing, unsorted, and duplicated
-        // entries at once).
-        let want_rel = RelIndex::rebuild_from(self.classes.values().flat_map(|c| c.nodes.iter()));
-        assert_eq!(
-            self.rel_index, want_rel,
-            "relational index disagrees with from-scratch construction"
-        );
         // dirty set: only canonical, live class ids (no merged-away ids
         // lingering), every dirty class discoverable through the op-head
         // index (each of its nodes' buckets lists it — otherwise delta
@@ -751,7 +715,8 @@ mod tests {
         eg.rebuild();
         let ea = parse_rec_expr::<Arith>("(* (+ x y) z)").unwrap();
         let eb = parse_rec_expr::<Arith>("(* z (+ x y))").unwrap();
-        assert!(eg.equivs(&ea, &eb));
+        assert_eq!(eg.lookup_expr(&ea), Some(eg.find(a)));
+        assert_eq!(eg.lookup_expr(&eb), Some(eg.find(a)));
         eg.check_invariants();
     }
 
@@ -775,13 +740,5 @@ mod tests {
         eg.rebuild();
         assert_eq!(eg.n_unions(), 2);
         assert_eq!(eg.number_of_classes(), 1);
-    }
-
-    #[test]
-    fn id_to_expr_roundtrip() {
-        let mut eg = EG::default();
-        let a = add_str(&mut eg, "(+ (neg x) 2)");
-        eg.rebuild();
-        assert_eq!(eg.id_to_expr(a).to_string(), "(+ (neg x) 2)");
     }
 }

@@ -20,7 +20,6 @@
 #![forbid(unsafe_code)]
 
 pub mod analysis;
-pub mod dot;
 pub mod egraph;
 pub mod extract;
 pub mod hash;
@@ -37,7 +36,7 @@ pub use extract::{AstSize, CostFunction, Extractor};
 pub use hash::{FxHashMap, FxHashSet};
 pub use language::{parse_rec_expr, Id, Language, OpKey, RecExpr};
 pub use pattern::{ENodeOrVar, Pattern, SearchMatches, Subst, Var};
-pub use relational::{MatchingMode, RelIndex, SlotKey};
+pub use relational::{MatchingMode, RelIndex};
 pub use rewrite::{
     check_unique_names, Applier, Condition, ConditionMeta, DeclaredCondition, PatternSide, Rewrite,
     RewriteError,

@@ -257,7 +257,7 @@ impl<L: Language> Program<L> {
     }
 }
 
-/// A compiled pattern: the s-expression AST plus its lowered [`Program`].
+/// A compiled pattern: the s-expression AST plus its lowered `Program`.
 ///
 /// Both fields are private so they cannot drift apart: the only way to
 /// build a `Pattern` is [`Pattern::new`]/[`Pattern::parse`], which

@@ -9,16 +9,14 @@
 //!
 //! * [`RelIndex`] — the relation store. For every `(op, arity, child
 //!   slot)` triple it keeps the **sorted** canonical ids of classes that
-//!   appear in that child position of some node with that head.
-//!   Maintained incrementally: [`RelIndex::insert_node`] at
-//!   [`crate::EGraph::add`] (sorted insert — fresh nodes may point at
-//!   any existing class) and [`RelIndex::canonicalize`] at rebuild
-//!   (remap every entry through the union-find; columns whose entries
-//!   were all fixed points skip the re-sort). `check_invariants` audits
-//!   it against [`RelIndex::rebuild_from`], the from-scratch oracle.
-//! * [`RelQuery`] / [`RelPlan`] — the query side. A pattern compiles
+//!   appear in that child position of some node with that head. Built
+//!   on demand: the e-graph constructs it with [`RelIndex::rebuild_from`]
+//!   on the first [`crate::EGraph::classes_with_op_child`] read and
+//!   drops it at every [`crate::EGraph::add`] and
+//!   [`crate::EGraph::rebuild`], so only relational searches pay for it.
+//! * `RelQuery` / `RelPlan` — the query side. A pattern compiles
 //!   once into a `RelQuery` (its e-node *atoms* and variable occurrence
-//!   lists); sweeps of at least [`PLANNED_SWEEP_MIN`] candidates
+//!   lists); sweeps of at least `PLANNED_SWEEP_MIN` candidates
 //!   instantiate a `RelPlan` against the current e-graph: a
 //!   generic-join instruction list whose variable-elimination order is
 //!   chosen per sweep by estimated selectivity (relation
@@ -44,7 +42,6 @@ use crate::egraph::EGraph;
 use crate::hash::FxHashMap;
 use crate::language::{Id, Language, OpKey, RecExpr};
 use crate::pattern::{ENodeOrVar, Subst, Var};
-use crate::unionfind::UnionFind;
 use std::collections::VecDeque;
 
 /// Which e-matching backend a search uses. Both produce bit-identical
@@ -66,17 +63,16 @@ pub enum MatchingMode {
 /// Key of one relational column: nodes with head `op` and `arity`
 /// children contribute their child at position `slot`.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
-pub struct SlotKey {
-    pub op: OpKey,
-    pub arity: u32,
-    pub slot: u32,
+struct SlotKey {
+    op: OpKey,
+    arity: u32,
+    slot: u32,
 }
 
 /// The `(op, arity, child-slot) → sorted class-id column` index — the
 /// relation store of relational e-matching. Lives alongside the op-head
-/// index on [`crate::EGraph`]; see the module docs for the maintenance
-/// protocol.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// index on [`crate::EGraph`]; see the module docs for when it is built.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RelIndex {
     cols: FxHashMap<SlotKey, Vec<Id>>,
 }
@@ -94,70 +90,8 @@ impl RelIndex {
         self.cols.get(&key).map_or(&[], |col| col.as_slice())
     }
 
-    /// Number of distinct `(op, arity, slot)` columns.
-    pub fn n_columns(&self) -> usize {
-        self.cols.len()
-    }
-
-    /// Total ids stored across all columns.
-    pub fn total_entries(&self) -> usize {
-        self.cols.values().map(Vec::len).sum()
-    }
-
-    /// Index a freshly added node's (already canonical) children. Unlike
-    /// the op-head index — where fresh class ids are strictly increasing
-    /// and a push keeps the vector sorted — a fresh node's children can
-    /// be *any* existing classes, so each column takes a sorted insert.
-    /// This runs at [`crate::EGraph::add`] because adds keep the graph
-    /// clean: a search may follow without any rebuild in between.
-    pub(crate) fn insert_node<L: Language>(&mut self, node: &L) {
-        let children = node.children();
-        if children.is_empty() {
-            return;
-        }
-        let op = node.op_key();
-        let arity = children.len() as u32;
-        for (slot, &child) in children.iter().enumerate() {
-            let col = self
-                .cols
-                .entry(SlotKey {
-                    op,
-                    arity,
-                    slot: slot as u32,
-                })
-                .or_default();
-            if let Err(pos) = col.binary_search(&child) {
-                col.insert(pos, child);
-            }
-        }
-    }
-
-    /// Incremental maintenance at rebuild: remap every entry to its
-    /// canonical representative, re-sorting and deduplicating only the
-    /// columns where something actually moved. Nodes are never deleted
-    /// and canonicalization only *merges* ids, so remapping the
-    /// incrementally accumulated columns lands on exactly the same sets
-    /// as rebuilding from the canonicalized class nodes — the property
-    /// `check_invariants` asserts against [`RelIndex::rebuild_from`].
-    pub(crate) fn canonicalize(&mut self, uf: &UnionFind) {
-        for col in self.cols.values_mut() {
-            let mut changed = false;
-            for id in col.iter_mut() {
-                let root = uf.find_immutable(*id);
-                if root != *id {
-                    *id = root;
-                    changed = true;
-                }
-            }
-            if changed {
-                col.sort_unstable();
-                col.dedup();
-            }
-        }
-    }
-
-    /// From-scratch construction over an e-graph's (canonical) nodes —
-    /// the oracle the incremental maintenance is audited against.
+    /// Construction over an e-graph's (canonical) nodes — the index's
+    /// only constructor, used by the e-graph and by tests as the oracle.
     pub fn rebuild_from<'a, L: Language + 'a>(nodes: impl Iterator<Item = &'a L>) -> RelIndex {
         let mut cols: FxHashMap<SlotKey, Vec<Id>> = FxHashMap::default();
         for node in nodes {
@@ -710,12 +644,25 @@ mod tests {
         eg.check_invariants();
     }
 
-    /// Satellite: incremental maintenance equals from-scratch
-    /// construction after random interleaved add/union/rebuild
-    /// sequences, and `check_invariants` (which embeds the same audit)
-    /// stays green throughout.
+    /// The on-demand index tracks every mutation: after each `add`,
+    /// `union` and `rebuild` of a random sequence, every column read
+    /// through `classes_with_op_child` equals from-scratch construction
+    /// over the current nodes, and no column exists that the oracle
+    /// lacks. Reads between mutations build the index, so a missed
+    /// reset would serve a stale column.
     #[test]
-    fn incremental_equals_from_scratch_under_random_mutation() {
+    fn index_equals_from_scratch_under_random_mutation() {
+        fn assert_fresh(eg: &EG, what: &str) {
+            let want = from_scratch(eg);
+            for (key, col) in &want.cols {
+                assert_eq!(
+                    eg.classes_with_op_child(key.op, key.arity as usize, key.slot as usize),
+                    col.as_slice(),
+                    "column {key:?} is stale after {what}"
+                );
+            }
+            assert_eq!(eg.rel_index(), &want, "index is stale after {what}");
+        }
         let mut state = 0x5EED_u64;
         let mut next = move |n: u64| {
             state = state
@@ -729,7 +676,7 @@ mod tests {
                 .map(|i| eg.add(Arith::Num(i as i64 + round)))
                 .collect();
             for step in 0..60 {
-                match next(10) {
+                let what = match next(10) {
                     0..=4 => {
                         let a = ids[next(ids.len() as u64) as usize];
                         let b = ids[next(ids.len() as u64) as usize];
@@ -739,32 +686,28 @@ mod tests {
                             _ => Arith::Neg(a),
                         };
                         ids.push(eg.add(node));
+                        "add"
                     }
                     5..=6 => {
                         let a = ids[next(ids.len() as u64) as usize];
                         let b = ids[next(ids.len() as u64) as usize];
                         eg.union(a, b);
+                        "union"
                     }
                     7 => {
                         ids.push(eg.add(Arith::Num(100 + step)));
+                        "leaf add"
                     }
                     _ => {
                         eg.rebuild();
-                        assert_eq!(
-                            eg.rel_index(),
-                            &from_scratch(&eg),
-                            "incremental index diverged (round {round}, step {step})"
-                        );
                         eg.check_invariants();
+                        "rebuild"
                     }
-                }
+                };
+                assert_fresh(&eg, &format!("{what} (round {round}, step {step})"));
             }
             eg.rebuild();
-            assert_eq!(
-                eg.rel_index(),
-                &from_scratch(&eg),
-                "final state, round {round}"
-            );
+            assert_fresh(&eg, &format!("final rebuild (round {round})"));
             eg.check_invariants();
         }
     }

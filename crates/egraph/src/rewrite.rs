@@ -267,13 +267,6 @@ impl<L: Language + Send + Sync + 'static, A: Analysis<L>> Rewrite<L, A> {
         self.nonlinear_lhs = true;
         self
     }
-
-    /// Replace the applier with a dynamic one (for rules that must compute
-    /// their output rather than instantiate a pattern).
-    pub fn with_applier(mut self, applier: impl Applier<L, A> + 'static) -> Self {
-        self.applier = Arc::new(applier);
-        self
-    }
 }
 
 impl<L: Language, A: Analysis<L>> Rewrite<L, A> {

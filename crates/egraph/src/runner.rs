@@ -250,9 +250,8 @@ struct RulePacing {
     /// (drives the doubling of the mute length).
     streak: u32,
     /// The next search is a full sweep. True at the start — the "dirty
-    /// set seeded with all classes" base case, which also covers
-    /// e-graphs passed in via `with_egraph` whose dirty set an earlier
-    /// run already took — and after a fixpoint of a partial view.
+    /// set seeded with all classes" base case — and after a fixpoint of
+    /// a partial view.
     pending_full: bool,
     /// Dirty classes the rule missed while muted: on re-admission it
     /// delta-searches this accumulated set (plus the current snapshot)
@@ -547,11 +546,6 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
             node_limit: 50_000,
             time_limit: Duration::from_secs(10),
         }
-    }
-
-    pub fn with_egraph(mut self, egraph: EGraph<L, A>) -> Self {
-        self.egraph = egraph;
-        self
     }
 
     /// Add a root expression to optimize.

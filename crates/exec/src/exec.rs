@@ -10,10 +10,13 @@
 //!   mirroring SystemML's runtime operator selection (§3.3, §4.2):
 //!   - `wsloss`: `sum((X ± U %*% t(V))^2)` streams without materializing
 //!     the dense `U Vᵀ` intermediate,
+//!   - `wcemm` / `wdivmm`: `sum(X * log(W %*% H))` and `X / (W %*% H)`
+//!     with sparse `X` touch only `X`'s stored cells,
 //!   - `mmchain`: matrix-multiply chains are associated by the classic
 //!     dynamic program over dimensions before execution,
-//!   - `sprop`: `P * (1 - P)` / `P - P*P` in one pass,
-//!   - `sigmoid`: `1/(1+exp(-X))` in one pass,
+//! * plan-level fused unary operators: `sprop(P)` (`P * (1 - P)`) and
+//!   `sigmoid(X)` (`1/(1+exp(-X))`) are [`UnOp`]s the optimizer emits
+//!   (SPORES fuses them by rewrite rules), each run in one pass,
 //! * FLOP / allocation accounting ([`crate::stats::ExecStats`]).
 //!
 //! Values are **shared, never copied**: a variable read borrows the
@@ -417,9 +420,6 @@ impl Executor {
         if let Some(v) = self.try_wdivmm(arena, id, pass)? {
             return Ok(Some(v));
         }
-        if let Some(v) = self.try_sprop(arena, id, pass)? {
-            return Ok(Some(v));
-        }
         if let Some(v) = self.try_mmchain(arena, id, pass)? {
             return Ok(Some(v));
         }
@@ -573,49 +573,6 @@ impl Executor {
         self.stats.flops += (2 * m * n * r + 3 * m * n) as u64;
         self.stats.fused_ops += 1;
         Ok(Some(Matrix::scalar(acc).into()))
-    }
-
-    /// `P * (1 - P)` or `P - P*P` fused into one pass.
-    fn try_sprop<'e>(
-        &mut self,
-        arena: &ExprArena,
-        id: NodeId,
-        pass: &mut Pass<'e>,
-    ) -> Result<Option<Val<'e>>, ExecError> {
-        let p_id = match arena.node(id) {
-            // P * (1 - P)  /  (1 - P) * P
-            LaNode::Bin(BinOp::Mul, a, b) => {
-                let one_minus = |arena: &ExprArena, n: NodeId, p: NodeId| -> bool {
-                    matches!(arena.node(n), LaNode::Bin(BinOp::Sub, one, q)
-                        if *q == p && matches!(arena.node(*one), LaNode::Scalar(v) if v.get() == 1.0))
-                };
-                if one_minus(arena, *b, *a) {
-                    Some(*a)
-                } else if one_minus(arena, *a, *b) {
-                    Some(*b)
-                } else {
-                    None
-                }
-            }
-            // P - P*P  /  P - P^2
-            LaNode::Bin(BinOp::Sub, p, q) => match arena.node(*q) {
-                LaNode::Bin(BinOp::Mul, x, y) if x == y && x == p => Some(*p),
-                LaNode::Bin(BinOp::Pow, x, k)
-                    if x == p && matches!(arena.node(*k), LaNode::Scalar(v) if v.get() == 2.0) =>
-                {
-                    Some(*p)
-                }
-                _ => None,
-            },
-            _ => None,
-        };
-        let Some(p_id) = p_id else { return Ok(None) };
-        let p = self.eval(arena, p_id, pass)?;
-        let out = p.map(true, |x| x * (1.0 - x));
-        self.stats.flops += p.nnz() as u64;
-        self.stats.fused_ops += 1;
-        self.alloc(&out);
-        Ok(Some(out.into()))
     }
 
     /// Matrix-multiply chains: associate by the classic dynamic program
@@ -807,15 +764,13 @@ mod tests {
     }
 
     #[test]
-    fn sprop_fusion_matches_unfused() {
+    fn sprop_operator_matches_unfused() {
         let mut r = gen::rng(3);
         let e = env(vec![("P", gen::rand_dense(50, 1, 0.0, 1.0, &mut r))]);
-        for src in ["P * (1 - P)", "P - P*P", "P - P^2", "sprop(P)"] {
-            let (fused, fs) = run(src, &e);
-            let (plain, _) = run_unfused("P * (1 - P)", &e);
-            assert!(fused.approx_eq(&plain, 1e-12), "{src}");
-            assert!(fs.fused_ops >= 1, "{src} should fuse");
-        }
+        let (fused, fs) = run("sprop(P)", &e);
+        let (plain, _) = run_unfused("P * (1 - P)", &e);
+        assert!(fused.approx_eq(&plain, 1e-12));
+        assert_eq!(fs.fused_ops, 1, "sprop(P) runs as one fused operator");
     }
 
     #[test]

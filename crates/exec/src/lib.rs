@@ -2,8 +2,9 @@
 //!
 //! Stands in for the SystemML runtime: interprets `spores_ir` expression
 //! DAGs over `spores_matrix` values with sparse-aware kernels, fused
-//! operators (`wsloss`, `mmchain`, `sprop`, `sigmoid`) and deterministic
-//! FLOP/allocation accounting for the benchmark tables.
+//! operators (`wsloss`, `wcemm`, `wdivmm` and `mmchain` detected in the
+//! plan; `sprop` and `sigmoid` emitted by the optimizer) and
+//! deterministic FLOP/allocation accounting for the benchmark tables.
 
 #![forbid(unsafe_code)]
 

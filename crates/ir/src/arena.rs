@@ -322,23 +322,6 @@ impl ExprArena {
         self.postorder(root).len()
     }
 
-    /// Number of nodes of the fully-expanded tree rooted at `root`
-    /// (shared nodes counted once per occurrence).
-    pub fn tree_size(&self, root: NodeId) -> usize {
-        let order = self.postorder(root);
-        let mut size: HashMap<NodeId, usize> = HashMap::new();
-        for id in order {
-            let s = 1 + self
-                .node(id)
-                .children()
-                .iter()
-                .map(|c| size[c])
-                .sum::<usize>();
-            size.insert(id, s);
-        }
-        size[&root]
-    }
-
     /// Free variables of the expression rooted at `root`.
     pub fn free_vars(&self, root: NodeId) -> Vec<Symbol> {
         let mut vars = Vec::new();
@@ -455,12 +438,11 @@ mod tests {
     }
 
     #[test]
-    fn tree_vs_dag_size() {
+    fn dag_size_counts_shared_nodes_once() {
         let mut a = ExprArena::new();
         let x = a.var("X");
         let xx = a.mul(x, x); // shared X
         assert_eq!(a.dag_size(xx), 2);
-        assert_eq!(a.tree_size(xx), 3);
     }
 
     #[test]

@@ -35,14 +35,6 @@ impl SExp {
             SExp::List(_) => None,
         }
     }
-
-    /// Convenience accessor: the list elements, if this is a list.
-    pub fn as_list(&self) -> Option<&[SExp]> {
-        match self {
-            SExp::Atom(_) => None,
-            SExp::List(items) => Some(items),
-        }
-    }
 }
 
 impl fmt::Display for SExp {
@@ -160,7 +152,9 @@ mod tests {
     fn nested_lists() {
         let e = parse_sexp("(* ?a (+ ?b ?c))").unwrap();
         assert_eq!(e.to_string(), "(* ?a (+ ?b ?c))");
-        let items = e.as_list().unwrap();
+        let SExp::List(items) = &e else {
+            panic!("{e} is not a list")
+        };
         assert_eq!(items[0].as_atom(), Some("*"));
         assert_eq!(items.len(), 3);
     }

@@ -30,14 +30,6 @@ impl Shape {
         self.rows == 1 && self.cols == 1
     }
 
-    pub fn is_col_vector(&self) -> bool {
-        self.cols == 1 && self.rows > 1
-    }
-
-    pub fn is_row_vector(&self) -> bool {
-        self.rows == 1 && self.cols > 1
-    }
-
     /// Total number of cells.
     pub fn nelem(&self) -> u64 {
         self.rows * self.cols

@@ -93,21 +93,6 @@ impl WorkloadExpr {
         WorkloadExpr::new(arena, vec![(name, r)]).expect("sub-bundle of a valid bundle")
     }
 
-    /// Leaf variables the caller must supply: every free variable that is
-    /// not defined by an earlier root of the bundle.
-    pub fn free_inputs(&self) -> Vec<Symbol> {
-        let mut inputs = Vec::new();
-        for &(_, root) in &self.roots {
-            for v in self.arena.free_vars(root) {
-                let defined = self.roots.iter().any(|(n, _)| *n == v);
-                if !defined && !inputs.contains(&v) {
-                    inputs.push(v);
-                }
-            }
-        }
-        inputs
-    }
-
     /// All leaf variables read anywhere in the bundle (inputs plus
     /// earlier-root names), each once, in first-read order.
     pub fn read_vars(&self) -> Vec<Symbol> {
@@ -141,11 +126,10 @@ mod tests {
     fn valid_ssa_bundle() {
         let w = bundle(&[("G", "(U %*% t(V) - X) %*% V"), ("U1", "U - 0.0001 * G")]).unwrap();
         assert_eq!(w.len(), 2);
-        let mut inputs: Vec<String> = w.free_inputs().iter().map(|s| s.to_string()).collect();
-        inputs.sort();
-        assert_eq!(inputs, vec!["U", "V", "X"]);
-        // G is read but not an input
-        assert!(w.read_vars().contains(&Symbol::new("G")));
+        let mut read: Vec<String> = w.read_vars().iter().map(|s| s.to_string()).collect();
+        read.sort();
+        // G is read but defined by the first root
+        assert_eq!(read, vec!["G", "U", "V", "X"]);
     }
 
     #[test]

@@ -7,9 +7,8 @@ pub mod runner;
 pub mod workloads;
 
 pub use runner::{
-    compile, compile_with_service, compile_workload, compile_workload_with_service, execute,
-    execute_workload, run, run_workload_mode, statement_requests, workload_bundle,
-    workload_optimizer_config, CompileReport, Compiled, Mode, RunReport, WorkloadBundle,
-    WorkloadCompiled,
+    compile, compile_workload, execute, execute_workload, run, run_workload_mode,
+    statement_requests, workload_bundle, workload_optimizer_config, CompileReport, Compiled, Mode,
+    RunReport, WorkloadBundle, WorkloadCompiled,
 };
 pub use workloads::{als, figure15_suite, glm, mlr, pnmf, svm, Scale, Statement, Workload};

@@ -110,40 +110,55 @@ pub struct RunReport {
 pub const SATURATION_TIMEOUT: Duration = Duration::from_millis(2500);
 
 /// The compilation context of one statement: its target, its root in the
-/// shared arena, and the variable metadata visible at that point of the
-/// program (inputs plus earlier targets, which get a dense estimate —
-/// the single place that rule lives).
+/// shared arena, the variable metadata visible at that point of the
+/// program (inputs plus earlier targets), and the metadata the target
+/// carries after the statement.
 struct StatementCtx {
     target: Symbol,
-    root: spores_ir::NodeId,
+    root: NodeId,
     meta: HashMap<Symbol, VarMeta>,
+    assigned: VarMeta,
 }
 
-/// Walk the statements in program order, threading shape/sparsity
-/// metadata for assigned variables exactly as compilation sees it.
-fn statement_contexts(workload: &Workload) -> (ExprArena, Vec<StatementCtx>) {
-    let (arena, roots) = workload.parse();
-    let mut meta: HashMap<Symbol, VarMeta> = workload
+/// The shape and sparsity of every workload input.
+fn input_vars(workload: &Workload) -> HashMap<Symbol, VarMeta> {
+    workload
         .input_meta()
         .into_iter()
         .map(|(s, (shape, sparsity))| (s, VarMeta { shape, sparsity }))
-        .collect();
+        .collect()
+}
+
+/// Walk the statements in program order, threading shape/sparsity
+/// metadata for assigned variables. Per-statement compilation, the
+/// service requests and the workload bundle all read this walk, so it is
+/// the single place the estimate for a computed variable lives: a target
+/// keeps its current metadata when the new value has the same shape (an
+/// input updated in place keeps its sparsity), and otherwise gets a
+/// dense estimate of the new shape.
+fn statement_contexts(workload: &Workload) -> (ExprArena, Vec<StatementCtx>) {
+    let (arena, roots) = workload.parse();
+    let mut meta = input_vars(workload);
     let mut contexts = Vec::with_capacity(roots.len());
     for (target, root) in roots {
         let shape_env: spores_ir::ShapeEnv = meta.iter().map(|(&s, m)| (s, m.shape)).collect();
-        let out_shape = arena
+        let shape = arena
             .shape_of(root, &shape_env)
             .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
+        let assigned = match meta.get(&target) {
+            Some(m) if m.shape == shape => *m,
+            _ => VarMeta {
+                shape,
+                sparsity: 1.0,
+            },
+        };
         contexts.push(StatementCtx {
             target,
             root,
             meta: meta.clone(),
+            assigned,
         });
-        // computed variables: dense estimate unless already known
-        meta.entry(target).or_insert(VarMeta {
-            shape: out_shape,
-            sparsity: 1.0,
-        });
+        meta.insert(target, assigned);
     }
     (arena, contexts)
 }
@@ -161,7 +176,10 @@ pub fn compile(workload: &Workload, mode: &Mode) -> Compiled {
     let mut timed_out = false;
     let mut max_e_nodes = 0;
 
-    for StatementCtx { target, root, meta } in contexts {
+    for StatementCtx {
+        target, root, meta, ..
+    } in contexts
+    {
         let (new_arena, new_root) = match mode {
             Mode::Base | Mode::Opt2 => {
                 let level = if matches!(mode, Mode::Base) {
@@ -287,7 +305,8 @@ pub struct WorkloadBundle {
     pub expr: WorkloadExpr,
     /// Metadata for every leaf the bundle reads: the workload inputs
     /// (original names) plus the version symbols of computed targets
-    /// (with the same estimates per-statement compilation uses).
+    /// (the estimates per-statement compilation uses: both read one
+    /// statement walk).
     pub vars: HashMap<Symbol, VarMeta>,
     /// `target ← final version symbol`, applied after each pass.
     pub writebacks: Vec<(Symbol, Symbol)>,
@@ -295,38 +314,26 @@ pub struct WorkloadBundle {
 
 /// Build the SSA bundle of a workload's statements. See [`WorkloadBundle`].
 pub fn workload_bundle(workload: &Workload) -> WorkloadBundle {
-    let (parse_arena, roots) = workload.parse();
-    let mut vars: HashMap<Symbol, VarMeta> = workload
-        .input_meta()
-        .into_iter()
-        .map(|(s, (shape, sparsity))| (s, VarMeta { shape, sparsity }))
-        .collect();
+    let (parse_arena, contexts) = statement_contexts(workload);
+    let mut vars = input_vars(workload);
     let mut arena = ExprArena::new();
     let mut cur: HashMap<Symbol, Symbol> = HashMap::new();
     let mut versions: HashMap<Symbol, usize> = HashMap::new();
-    let mut bundle_roots = Vec::with_capacity(roots.len());
+    let mut bundle_roots = Vec::with_capacity(contexts.len());
     let mut writeback_order: Vec<Symbol> = Vec::new();
-    for (target, root) in roots {
+    for StatementCtx {
+        target,
+        root,
+        assigned,
+        ..
+    } in contexts
+    {
         // reads resolve through the *current* version map (the target's
         // own RHS still reads the previous version)
         let root_b = arena.graft(&parse_arena, root, &cur);
-        let shape_env: spores_ir::ShapeEnv = vars.iter().map(|(&s, m)| (s, m.shape)).collect();
-        let shape = arena
-            .shape_of(root_b, &shape_env)
-            .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
         let k = versions.entry(target).and_modify(|k| *k += 1).or_insert(1);
         let version = Symbol::new(&format!("{target}@{k}"));
-        // computed versions: keep the input's metadata when the target is
-        // an input of matching shape (the single rule statement_contexts
-        // applies), else a dense estimate
-        let meta = match vars.get(&target) {
-            Some(m) if m.shape == shape => *m,
-            _ => VarMeta {
-                shape,
-                sparsity: 1.0,
-            },
-        };
-        vars.insert(version, meta);
+        vars.insert(version, assigned);
         if !writeback_order.contains(&target) {
             writeback_order.push(target);
         }
@@ -353,7 +360,8 @@ pub struct WorkloadCompiled {
     pub writebacks: Vec<(Symbol, Symbol)>,
     pub report: CompileReport,
     /// Statistics of the single shared saturation run (`None` when the
-    /// plan came from a service cache hit).
+    /// plan was assembled outside [`compile_workload`], e.g. from a
+    /// service reply).
     pub saturation: Option<SaturationStats>,
 }
 
@@ -440,40 +448,6 @@ pub fn run_workload_mode(workload: &Workload) -> Result<RunReport, ExecError> {
     execute_workload(workload, &compiled)
 }
 
-/// Compile a workload in workload mode *through* an
-/// [`spores_service::OptimizerService`]: the whole bundle is one request
-/// keyed by its workload-level fingerprint, so a repeated workload is
-/// served from the cache as a single entry (one α-instantiation instead
-/// of one saturation per statement — or even N cache probes).
-pub fn compile_workload_with_service(
-    workload: &Workload,
-    service: &spores_service::OptimizerService,
-) -> WorkloadCompiled {
-    let t0 = Instant::now();
-    let bundle = workload_bundle(workload);
-    let served = service
-        .optimize_workload(spores_service::WorkloadRequest::new(
-            bundle.expr,
-            bundle.vars,
-        ))
-        .unwrap_or_else(|e| panic!("{}: {e}", workload.name));
-    let report = CompileReport {
-        total: t0.elapsed(),
-        // for cache hits these describe the *cached* pipeline run
-        phases: Some(served.timings),
-        converged: served.converged,
-        timed_out: served.timed_out,
-        max_e_nodes: served.e_nodes,
-    };
-    WorkloadCompiled {
-        arena: served.arena,
-        roots: served.roots,
-        writebacks: bundle.writebacks,
-        report,
-        saturation: None,
-    }
-}
-
 /// The per-statement service requests of a workload, in statement order,
 /// paired with the statement targets. The metadata threading is shared
 /// with [`compile`] (via the same statement walk), so service-compiled
@@ -484,58 +458,17 @@ pub fn statement_requests(workload: &Workload) -> Vec<(Symbol, spores_service::R
     let (arena, contexts) = statement_contexts(workload);
     contexts
         .into_iter()
-        .map(|StatementCtx { target, root, meta }| {
-            let (sub, sub_root) = arena.rename_vars(root, &HashMap::new());
-            let free: Vec<Symbol> = sub.free_vars(sub_root);
-            let vars = meta.into_iter().filter(|(s, _)| free.contains(s)).collect();
-            (target, spores_service::Request::new(sub, sub_root, vars))
-        })
+        .map(
+            |StatementCtx {
+                 target, root, meta, ..
+             }| {
+                let (sub, sub_root) = arena.rename_vars(root, &HashMap::new());
+                let free: Vec<Symbol> = sub.free_vars(sub_root);
+                let vars = meta.into_iter().filter(|(s, _)| free.contains(s)).collect();
+                (target, spores_service::Request::new(sub, sub_root, vars))
+            },
+        )
         .collect()
-}
-
-/// Compile `workload` through an [`OptimizerService`]: every statement
-/// becomes a service request (batched, so misses fan out across the
-/// worker pool), and repeated compilations of the same workload are
-/// served from the plan cache without re-running saturation.
-///
-/// The resulting plans execute under [`Mode::spores`]'s executor
-/// configuration (fusion on), so `execute(workload, &compiled,
-/// &Mode::spores())` works unchanged.
-pub fn compile_with_service(
-    workload: &Workload,
-    service: &spores_service::OptimizerService,
-) -> Compiled {
-    let t0 = Instant::now();
-    let (targets, requests): (Vec<_>, Vec<_>) = statement_requests(workload).into_iter().unzip();
-
-    let mut statements = Vec::with_capacity(targets.len());
-    let mut phases = PhaseTimings::default();
-    let mut converged = true;
-    let mut timed_out = false;
-    let mut max_e_nodes = 0;
-    for (target, served) in targets.into_iter().zip(service.optimize_batch(requests)) {
-        let served: spores_service::Served =
-            served.unwrap_or_else(|e| panic!("{}: {e}", workload.name));
-        phases.translate += served.timings.translate;
-        phases.saturate += served.timings.saturate;
-        phases.extract += served.timings.extract;
-        phases.lower += served.timings.lower;
-        converged &= served.converged;
-        timed_out |= served.timed_out;
-        max_e_nodes = max_e_nodes.max(served.e_nodes);
-        statements.push((target, served.arena, served.root));
-    }
-
-    let report = CompileReport {
-        total: t0.elapsed(),
-        // for cache hits, phase timings and saturation facts describe the
-        // *cached* pipeline run, not time spent in this call
-        phases: Some(phases),
-        converged,
-        timed_out,
-        max_e_nodes,
-    };
-    Compiled { statements, report }
 }
 
 #[cfg(test)]
@@ -711,6 +644,45 @@ mod tests {
         );
     }
 
+    /// Per-statement compile through a service: the statement requests
+    /// as one batch, each served plan bound to its target.
+    fn compile_with_service(w: &Workload, svc: &spores_service::OptimizerService) -> Compiled {
+        let (targets, requests): (Vec<_>, Vec<_>) = statement_requests(w).into_iter().unzip();
+        let statements = targets
+            .into_iter()
+            .zip(svc.optimize_batch(requests))
+            .map(|(target, served)| {
+                let served = served.unwrap_or_else(|e| panic!("{}: {e}", w.name));
+                (target, served.arena, served.root)
+            })
+            .collect();
+        Compiled {
+            statements,
+            report: CompileReport::default(),
+        }
+    }
+
+    /// Workload-mode compile through a service: the bundle as one request.
+    fn compile_workload_with_service(
+        w: &Workload,
+        svc: &spores_service::OptimizerService,
+    ) -> WorkloadCompiled {
+        let bundle = workload_bundle(w);
+        let served = svc
+            .optimize_workload(spores_service::WorkloadRequest::new(
+                bundle.expr,
+                bundle.vars,
+            ))
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name));
+        WorkloadCompiled {
+            arena: served.arena,
+            roots: served.roots,
+            writebacks: bundle.writebacks,
+            report: CompileReport::default(),
+            saturation: None,
+        }
+    }
+
     #[test]
     fn service_compile_agrees_with_direct_spores_compile() {
         use spores_service::{OptimizerService, ServiceConfig};
@@ -781,6 +753,55 @@ mod tests {
         let warm = svc.stats();
         assert_eq!(warm.misses, cold.misses, "warm compile re-ran the pipeline");
         assert_eq!(warm.hits, n_statements);
+    }
+
+    /// A statement that reassigns an input with a new shape: every later
+    /// read must see the new shape, in every compile path. `X = t(X)`
+    /// turns the 40×30 input into a 30×40 value that `X %*% w` needs.
+    #[test]
+    fn reassigning_an_input_with_a_new_shape_compiles_everywhere() {
+        use spores_matrix::gen;
+        let mut r = gen::rng(5);
+        let w = Workload {
+            name: "transpose-in-place",
+            size_label: "40x30".into(),
+            statements: [("X", "t(X)"), ("y", "sum(X %*% w)")]
+                .iter()
+                .map(|&(target, src)| crate::Statement {
+                    target: Symbol::new(target),
+                    src: src.into(),
+                })
+                .collect(),
+            inputs: HashMap::from([
+                (
+                    Symbol::new("X"),
+                    gen::rand_sparse(40, 30, 0.1, 0.0, 1.0, &mut r),
+                ),
+                (Symbol::new("w"), gen::rand_dense(40, 1, 0.0, 1.0, &mut r)),
+            ]),
+            iterations: 1,
+        };
+        assert_eq!(statement_requests(&w).len(), 2);
+        let base = run(&w, &Mode::Base).unwrap();
+        let y = base.scalars[&Symbol::new("y")];
+        let modes = [
+            Mode::Opt2,
+            Mode::spores(),
+            Mode::Spores {
+                scheduler: Scheduler::DepthFirst,
+                extractor: ExtractorKind::Ilp,
+            },
+        ];
+        let mut reports: Vec<RunReport> = modes.iter().map(|m| run(&w, m).unwrap()).collect();
+        reports.push(run_workload_mode(&w).unwrap());
+        for report in reports {
+            let got = report.scalars[&Symbol::new("y")];
+            assert!(
+                (got - y).abs() < 1e-9 * (1.0 + y.abs()),
+                "{}: {got} vs base {y}",
+                report.mode
+            );
+        }
     }
 
     #[test]

@@ -93,7 +93,7 @@ impl fmt::Display for Atom {
     }
 }
 
-/// An abstract schema: a union of [`Atom`]s in normal form.
+/// An abstract schema: a union of `Atom`s in normal form.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AbsSchema {
     atoms: BTreeSet<Atom>,
@@ -235,15 +235,6 @@ pub enum SchemaVerdict {
     /// condition, LA-structural operators, or an index/value role
     /// conflict reported separately). A warning, not a violation.
     NotAnalyzable(String),
-}
-
-impl SchemaVerdict {
-    pub fn is_violation(&self) -> bool {
-        matches!(
-            self,
-            SchemaVerdict::Undeclared { .. } | SchemaVerdict::Mismatch { .. }
-        )
-    }
 }
 
 /// The role a pattern variable plays, inferred from position.

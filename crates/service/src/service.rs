@@ -40,7 +40,7 @@
 //!   with the caller's symbols and re-priced under the caller's concrete
 //!   metadata ([`spores_core::plan_cost`], summed over the roots); if the
 //!   template prices worse than the caller's own input plan (beyond a
-//!   small slack for estimator drift, [`COST_SLACK`]) — possible when
+//!   small slack for estimator drift, `COST_SLACK`) — possible when
 //!   sizes drifted within a sparsity bucket — the hit is rejected and the
 //!   request falls through to the full pipeline, so a hit is never
 //!   meaningfully worse than what greedy re-optimization would have
@@ -575,15 +575,6 @@ impl OptimizerService {
         self.inner
             .stats
             .render_text(self.inner.cache.evictions(), self.pool.queue_depth())
-    }
-
-    /// Write the process-global telemetry journal as Chrome trace-event
-    /// JSON to `path`, draining it (collection must have been enabled,
-    /// e.g. via `OptimizerConfig::telemetry` on this service's
-    /// pipeline config). Load the file in `chrome://tracing` or
-    /// <https://ui.perfetto.dev>.
-    pub fn dump_trace(&self, path: &std::path::Path) -> std::io::Result<()> {
-        spores_telemetry::dump_chrome_trace(path)
     }
 
     /// Number of cached plan templates, statements and bundles together.

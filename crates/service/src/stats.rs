@@ -243,17 +243,6 @@ impl StatsSnapshot {
     pub fn requests(&self) -> u64 {
         self.hits + self.misses + self.coalesced
     }
-
-    /// Fraction of requests that avoided the full pipeline.
-    pub fn hit_rate(&self) -> f64 {
-        let served = self.hits + self.coalesced;
-        let total = self.requests();
-        if total == 0 {
-            0.0
-        } else {
-            served as f64 / total as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -303,13 +292,12 @@ mod tests {
     }
 
     #[test]
-    fn hit_rate() {
+    fn requests_count_every_outcome() {
         let s = ServiceStats::default();
         s.hits.add(3);
         s.misses.add(1);
-        let snap = s.snapshot(0, 0);
-        assert_eq!(snap.requests(), 4);
-        assert!((snap.hit_rate() - 0.75).abs() < 1e-12);
+        s.coalesced.add(2);
+        assert_eq!(s.snapshot(0, 0).requests(), 6);
     }
 
     #[test]
