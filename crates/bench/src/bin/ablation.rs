@@ -1,4 +1,4 @@
-//! Ablations for the design choices DESIGN.md calls out:
+//! Ablations for three design choices of the optimizer:
 //!
 //! 1. **sampling match-limit sweep** — convergence and e-graph size vs
 //!    the per-rule match cap (§3.1's knob);

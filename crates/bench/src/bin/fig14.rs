@@ -13,7 +13,7 @@
 //!    proves the left side identically zero via the sparsity invariant.
 //!
 //! `--no-custom` drops the custom-function equations (§3.3), showing
-//! which families need them (an ablation from DESIGN.md).
+//! which families need them (an ablation; see also `ablation`).
 
 use spores_core::analysis::{MathGraph, MetaAnalysis};
 use spores_core::translate::translate_pair;

@@ -1,14 +1,14 @@
 //! Shared helpers for the figure-regeneration binaries.
 //!
 //! Every table and figure of the paper's evaluation has a binary in
-//! `src/bin/` (see DESIGN.md's per-experiment index):
+//! `src/bin/`:
 //!
 //! * `fig14` — derivability of all hand-coded SystemML rewrites
 //! * `fig15` — run time of the 5 programs under base/opt2/saturation
 //! * `fig16` — compile-time breakdown per saturation/extraction strategy
 //! * `fig17` — performance impact of extraction strategies
 //! * `ablation` — sampling-limit sweep, greedy-vs-ILP gap, rule-set
-//!   ablations (the design-choice experiments DESIGN.md calls out)
+//!   ablations (the design choices behind the optimizer)
 
 #![forbid(unsafe_code)]
 

@@ -8,13 +8,19 @@
 //! eliminated by rename propagation (§2.1: "it eliminates consecutive
 //! unbind/bind operators, possibly renaming attributes").
 //!
-//! Index names are globally fresh (`i0`, `i1`, …), which realizes the
-//! "(else rename i)" proviso of rule 3 once and for all: no rewrite can
-//! capture an index because no two binders share a name (DESIGN.md §2).
+//! Index names are minted fresh (`i0`, `i1`, …), but a translated LA node
+//! is memoized and reused wherever the DAG shares it, so one index name
+//! can play two roles: in `t(U) %*% (U %*% t(V) - X)` the column index of
+//! `U` is summed away inside the right operand and free in the left one.
+//! The "(else rename i)" proviso of rule 3 is therefore kept where two
+//! fragments are aligned (`Translator::align`): every join and union the
+//! translator builds is *capture-free* — no index free in one operand is
+//! bound by a `Σ` anywhere in the other — so guards such as
+//! `push-join-agg`'s `i ∉ Attr(A)` never refuse over a name clash alone.
 
 use crate::analysis::{Context, VarMeta};
 use crate::lang::{Math, MathExpr};
-use spores_egraph::{FxHashMap, Id, Language};
+use spores_egraph::{FxHashMap, FxHashSet, Id, Language};
 use spores_ir::{ExprArena, LaNode, NodeId, Shape, Symbol};
 use std::collections::HashMap;
 use std::fmt;
@@ -96,8 +102,11 @@ impl Builder {
         }
     }
 
-    /// Copy the sub-term at `id`, renaming free index symbols per `map`.
-    /// Fresh global naming guarantees capture-freedom (module docs).
+    /// Copy the sub-term at `id`, renaming every occurrence of the index
+    /// symbols in `map` — free attributes and `Σ` binders alike. The copy
+    /// is capture-free only if `map` is injective on the symbols of the
+    /// sub-term and its targets are not bound there; [`Translator::align`]
+    /// builds maps that are.
     fn rename(&mut self, id: Id, map: &HashMap<Symbol, Symbol>) -> Id {
         if map.is_empty() {
             return id;
@@ -139,9 +148,16 @@ struct Translator<'a> {
     index_dims: FxHashMap<Symbol, u64>,
     counter: usize,
     memo: FxHashMap<NodeId, Frag>,
-    /// Memoized reachable-node counts of built fragments (see
-    /// [`Translator::frag_size`]).
-    frag_sizes: FxHashMap<Id, usize>,
+    /// Memoized facts of built fragments (see [`Translator::reach`]).
+    reach: FxHashMap<Id, Reach>,
+}
+
+/// What aligning a built fragment needs to know about it.
+struct Reach {
+    /// Number of reachable nodes: the amount of structure a rename copies.
+    size: usize,
+    /// The `Σ` binders anywhere in the fragment, sorted.
+    binders: Vec<Symbol>,
 }
 
 /// One translated root: relational plan, result `(row, col)` attributes,
@@ -202,7 +218,7 @@ impl<'a> Translator<'a> {
             index_dims: FxHashMap::default(),
             counter: 0,
             memo: FxHashMap::default(),
-            frag_sizes: FxHashMap::default(),
+            reach: FxHashMap::default(),
         })
     }
 
@@ -246,53 +262,103 @@ impl<'a> Translator<'a> {
         self.shapes[id.index()].expect("shape inferred for reachable node")
     }
 
-    /// Number of nodes reachable from `id` in the builder expression —
-    /// the amount of structure a rename would copy. Builder nodes are
-    /// immutable once added, so results are memoized per id (large
-    /// shared fragments are re-queried by every consuming statement).
-    fn frag_size(&mut self, id: Id) -> usize {
-        if let Some(&n) = self.frag_sizes.get(&id) {
-            return n;
+    /// The size and the `Σ` binders of the builder expression at `id`.
+    /// Builder nodes are immutable once added, so results are memoized
+    /// per id (large shared fragments are re-queried by every consuming
+    /// statement).
+    fn reach(&mut self, id: Id) -> &Reach {
+        if !self.reach.contains_key(&id) {
+            let expr = &self.builder.expr;
+            let mut seen: FxHashSet<Id> = FxHashSet::default();
+            let mut binders = Vec::new();
+            let mut stack = vec![id];
+            while let Some(n) = stack.pop() {
+                if seen.insert(n) {
+                    let node = expr.node(n);
+                    if let Math::Agg([i, _]) = node {
+                        if let Math::Sym(s) = expr.node(*i) {
+                            binders.push(*s);
+                        }
+                    }
+                    stack.extend(node.children().iter().copied());
+                }
+            }
+            binders.sort_unstable();
+            binders.dedup();
+            let size = seen.len();
+            self.reach.insert(id, Reach { size, binders });
         }
-        let mut seen: FxHashMap<Id, ()> = FxHashMap::default();
-        let mut stack = vec![id];
-        while let Some(n) = stack.pop() {
-            if seen.insert(n, ()).is_none() {
-                stack.extend(self.builder.expr.node(n).children().iter().copied());
+        &self.reach[&id]
+    }
+
+    /// Whether `a` is the smaller fragment, and so the side to rename:
+    /// large fragments — possibly shared across statements of a workload
+    /// — stay byte-identical, so cross-statement CSE survives attribute
+    /// alignment.
+    fn smaller(&mut self, a: Id, b: Id) -> bool {
+        self.reach(a).size < self.reach(b).size
+    }
+
+    /// Whether a `Σ` anywhere in the fragment at `id` binds `s`.
+    fn binds(&mut self, id: Id, s: Symbol) -> bool {
+        self.reach(id).binders.binary_search(&s).is_ok()
+    }
+
+    /// Rename `mv` so it can be joined or united with `keep`, and return
+    /// it with its attributes renamed. Each `(m, k)` of `pairs` aligns the
+    /// free attribute `m` of `mv` onto the free attribute `k` of `keep`;
+    /// the renaming is capture-free (module docs):
+    ///
+    /// * a free attribute of `mv` that is not aligned is freshened when
+    ///   `keep` has it free (the two would collapse into one attribute,
+    ///   as in the self-contraction `t(X) %*% X`) or binds it;
+    /// * a `Σ` binder of `mv` that `keep` has free is freshened, so no
+    ///   alignment target is captured.
+    ///
+    /// Freshening goes in the order of `mv`'s attributes and then `keep`'s,
+    /// so the names minted do not depend on hash iteration order.
+    fn align(&mut self, mv: Frag, keep: Frag, pairs: &[(Symbol, Symbol)]) -> Frag {
+        let mut map: HashMap<Symbol, Symbol> =
+            pairs.iter().filter(|(m, k)| m != k).copied().collect();
+        let aligned = |s: Symbol| pairs.iter().any(|&(m, _)| m == s);
+        for m in [mv.row, mv.col].into_iter().flatten() {
+            if !aligned(m) && (keep.row == Some(m) || keep.col == Some(m) || self.binds(keep.id, m))
+            {
+                let fresh = self.fresh(self.index_dims[&m]);
+                map.insert(m, fresh);
             }
         }
-        let size = seen.len();
-        self.frag_sizes.insert(id, size);
-        size
+        for k in [keep.row, keep.col].into_iter().flatten() {
+            if !aligned(k) && !map.contains_key(&k) && self.binds(mv.id, k) {
+                let fresh = self.fresh(self.index_dims[&k]);
+                map.insert(k, fresh);
+            }
+        }
+        let renamed = |s: Option<Symbol>| s.map(|s| map.get(&s).copied().unwrap_or(s));
+        Frag {
+            id: self.builder.rename(mv.id, &map),
+            row: renamed(mv.row),
+            col: renamed(mv.col),
+        }
     }
 
     /// Align `a` and `b` for an element-wise (broadcasting) operation:
-    /// rename the *smaller* fragment's attributes onto the larger one's
+    /// rename the smaller fragment's attributes onto the larger one's
     /// and return the fragment ids (in operand order) plus the result
-    /// attributes. Renaming the smaller side keeps large fragments —
-    /// possibly shared across statements of a workload — byte-identical,
-    /// so cross-statement CSE survives attribute alignment.
+    /// attributes.
     fn unify(&mut self, a: Frag, b: Frag) -> (Id, Id, Option<Symbol>, Option<Symbol>) {
-        let rename_a = self.frag_size(a.id) < self.frag_size(b.id);
+        let rename_a = self.smaller(a.id, b.id);
         let (keep, mv) = if rename_a { (b, a) } else { (a, b) };
-        let mut map = HashMap::new();
-        let mut pick = |kept: Option<Symbol>, moved: Option<Symbol>| match (kept, moved) {
-            (Some(k), Some(m)) => {
-                if m != k {
-                    map.insert(m, k);
-                }
-                Some(k)
-            }
-            (Some(k), None) => Some(k),
-            (None, m) => m,
-        };
-        let row = pick(keep.row, mv.row);
-        let col = pick(keep.col, mv.col);
-        let mv_id = self.builder.rename(mv.id, &map);
+        let pairs: Vec<(Symbol, Symbol)> = [(mv.row, keep.row), (mv.col, keep.col)]
+            .into_iter()
+            .filter_map(|(m, k)| Some((m?, k?)))
+            .collect();
+        let moved = self.align(mv, keep, &pairs);
+        let (row, col) = (keep.row.or(moved.row), keep.col.or(moved.col));
         if rename_a {
-            (mv_id, keep.id, row, col)
+            (moved.id, keep.id, row, col)
         } else {
-            (keep.id, mv_id, row, col)
+            (keep.id, moved.id, row, col)
         }
     }
 
@@ -411,55 +477,23 @@ impl<'a> Translator<'a> {
                     MatMul => {
                         // A(i,k) · B(k,j): align the contraction attrs,
                         // join, aggregate the shared attr. As in `unify`,
-                        // the smaller fragment is the one renamed so big
-                        // (cross-statement shared) fragments stay intact.
-                        //
-                        // Because translation memoizes shared LA nodes,
-                        // B may alias A's attributes (e.g. `t(X) %*% X`
-                        // reuses one fragment for both occurrences of X).
-                        // Any outer attr of the renamed side that would
-                        // collide with an attr of the kept side must be
-                        // freshened, or the self-contraction collapses.
-                        let rename_a = self.frag_size(fa.id) < self.frag_size(fb.id);
-                        let mut map = HashMap::new();
-                        let k = match (fa.col, fb.row) {
-                            (Some(ka), Some(kb)) if ka != kb => {
-                                if rename_a {
-                                    map.insert(ka, kb);
-                                    Some(kb)
-                                } else {
-                                    map.insert(kb, ka);
-                                    Some(ka)
-                                }
-                            }
-                            (Some(ka), _) => Some(ka),
-                            (None, kb) => kb,
+                        // the smaller fragment is the one renamed.
+                        let rename_a = self.smaller(fa.id, fb.id);
+                        let (keep, mv) = if rename_a { (fb, fa) } else { (fa, fb) };
+                        let pairs: Vec<(Symbol, Symbol)> = match (fa.col, fb.row) {
+                            (Some(ka), Some(kb)) if rename_a => vec![(ka, kb)],
+                            (Some(ka), Some(kb)) => vec![(kb, ka)],
+                            _ => vec![],
                         };
-                        let mut row = fa.row;
-                        let mut col = fb.col;
-                        if rename_a {
-                            if let Some(ra) = fa.row {
-                                if Some(ra) == fb.col || Some(ra) == fb.row {
-                                    let fresh = self.fresh(self.index_dims[&ra]);
-                                    map.insert(ra, fresh);
-                                    row = Some(fresh);
-                                }
-                            }
-                        } else if let Some(cb) = fb.col {
-                            if Some(cb) == fa.row || Some(cb) == fa.col {
-                                let fresh = self.fresh(self.index_dims[&cb]);
-                                map.insert(cb, fresh);
-                                col = Some(fresh);
-                            }
+                        let moved = self.align(mv, keep, &pairs);
+                        let (a, b) = if rename_a { (moved, fb) } else { (fa, moved) };
+                        let prod = self.builder.add(Math::Mul([a.id, b.id]));
+                        let id = self.agg(a.col.or(b.row), prod);
+                        Frag {
+                            id,
+                            row: a.row,
+                            col: b.col,
                         }
-                        let (a_id, b_id) = if rename_a {
-                            (self.builder.rename(fa.id, &map), fb.id)
-                        } else {
-                            (fa.id, self.builder.rename(fb.id, &map))
-                        };
-                        let prod = self.builder.add(Math::Mul([a_id, b_id]));
-                        let id = self.agg(k, prod);
-                        Frag { id, row, col }
                     }
                     Min => self.pointwise2(fa, fb, Math::BMin),
                     Max => self.pointwise2(fa, fb, Math::BMax),
@@ -563,6 +597,7 @@ pub fn translate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::{eval_la, eval_ra, Tensor};
     use spores_ir::parse_expr;
 
     fn vars(list: &[(&str, (u64, u64))]) -> HashMap<Symbol, VarMeta> {
@@ -734,6 +769,49 @@ mod tests {
         let single = translate(&arena, r1, &vs).unwrap();
         assert_eq!(wt.roots[0].expr.to_string(), single.expr.to_string());
         assert_eq!(wt.roots[0].shape, single.shape);
+    }
+
+    #[test]
+    fn als_gradient_is_capture_free() {
+        // `U` is one memoized fragment: its column index is summed away
+        // in `U %*% t(V)`, so the left `t(U)` must keep a fresh one, or
+        // `push-join-agg` can never pull the join under that `Σ`
+        let t = tr(
+            "t(t(U) %*% (U %*% t(V) - X))",
+            &[("U", (20, 3)), ("V", (10, 3)), ("X", (20, 10))],
+        );
+        assert_eq!(
+            t.expr.to_string(),
+            "(sum i0 (* (b i0 i6 U) \
+             (+ (sum i1 (* (b i0 i1 U) (b i2 i1 V))) (* -1 (b i0 i2 X)))))"
+        );
+        let (row, col) = (t.row.unwrap(), t.col.unwrap());
+        assert_eq!((t.ctx.index_dims[&row], t.ctx.index_dims[&col]), (10, 3));
+        // neither free attribute is bound anywhere in the plan
+        for free in [row, col] {
+            assert!(!t.expr.to_string().contains(&format!("(sum {free} ")));
+        }
+    }
+
+    #[test]
+    fn broadcast_operand_keeps_its_own_attrs() {
+        // X square: `rowSums(t(X))` keeps X's column index as its row, so
+        // aligning X's row onto it must move X's column out of the way,
+        // or the product collapses onto the diagonal
+        let mut arena = ExprArena::new();
+        let root = parse_expr(&mut arena, "X * rowSums(t(X))").unwrap();
+        let t = translate(&arena, root, &vars(&[("X", (3, 3))])).unwrap();
+        assert_ne!(t.row, t.col);
+        let x = Tensor::new(3, 3, (1..=9).map(f64::from).collect());
+        let env = HashMap::from([(Symbol::new("X"), x)]);
+        let dims = t
+            .ctx
+            .index_dims
+            .iter()
+            .map(|(&s, &d)| (s, d as usize))
+            .collect();
+        let got = eval_ra(&t.expr, t.row, t.col, &env, &dims).unwrap();
+        assert!(eval_la(&arena, root, &env).unwrap().approx_eq(&got, 1e-12));
     }
 
     #[test]

@@ -3,14 +3,18 @@
 //! * translation (R_LR) preserves semantics (LA eval == RA eval),
 //! * the translate→lower round trip preserves semantics,
 //! * canonicalization preserves semantics (Lemma 2.1, numerically),
-//! * canonical forms are invariant under the e-graph's rewrites.
+//! * canonical forms are invariant under the e-graph's rewrites,
+//! * translation is capture-free where a product reuses one operand
+//!   across its contraction (no index free in one operand of a join or
+//!   union is bound by a `Σ` in another).
 
 use proptest::prelude::*;
 use spores_core::analysis::VarMeta;
 use spores_core::eval::{eval_la, eval_ra, Tensor};
-use spores_core::{canon_of_la, lower, polyterm_isomorphic, translate};
+use spores_core::{canon_of_la, lower, polyterm_isomorphic, translate, Math, MathExpr};
+use spores_egraph::{Id, Language};
 use spores_ir::{ExprArena, NodeId, Symbol};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 const R: usize = 3;
 const C: usize = 4;
@@ -33,11 +37,21 @@ enum Gen {
     Sum(Box<Gen>),
     T(Box<Gen>),
     Pow2(Box<Gen>),
+    /// `M %*% (t(M) %*% M)`: `M` on both sides of a contraction.
+    Gram(Box<Gen>),
+    /// `(M %*% t(N) - P %*% t(N)) %*% N`: the shape of ALS's `GU`.
+    GradU(Box<Gen>, Box<Gen>, Box<Gen>),
+    /// `t(t(M) %*% (M %*% t(N) - P %*% t(N)))`: the shape of ALS's `GV`.
+    GradV(Box<Gen>, Box<Gen>, Box<Gen>),
 }
 
 fn mat_expr() -> impl Strategy<Value = Gen> {
+    mat_expr_of_depth(3)
+}
+
+fn mat_expr_of_depth(depth: u32) -> impl Strategy<Value = Gen> {
     let leaf = prop_oneof![Just(Gen::X), Just(Gen::Y), Just(Gen::OuterUV)];
-    leaf.prop_recursive(3, 16, 2, |inner| {
+    leaf.prop_recursive(depth, 16, 2, |inner| {
         prop_oneof![
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Gen::Add(Box::new(a), Box::new(b))),
             (inner.clone(), inner.clone()).prop_map(|(a, b)| Gen::Sub(Box::new(a), Box::new(b))),
@@ -64,6 +78,30 @@ fn mat_expr() -> impl Strategy<Value = Gen> {
             inner,
         ]
     })
+}
+
+/// Products of (small) composite matrices that share an operand across
+/// the contraction, nested: the arena hash-conses, so every occurrence of
+/// a shared operand reuses one translated fragment.
+fn shared_contraction() -> impl Strategy<Value = Gen> {
+    mat_expr_of_depth(1).prop_recursive(2, 24, 3, |inner| {
+        let trio = (inner.clone(), inner.clone(), inner.clone());
+        prop_oneof![
+            inner.prop_map(|m| Gen::Gram(Box::new(m))),
+            trio.clone()
+                .prop_map(|(m, n, p)| Gen::GradU(Box::new(m), Box::new(n), Box::new(p))),
+            trio.prop_map(|(m, n, p)| Gen::GradV(Box::new(m), Box::new(n), Box::new(p))),
+        ]
+    })
+}
+
+/// `M %*% t(N) - P %*% t(N)`, the residual both ALS gradients contract.
+fn residual(m: &Gen, n: &Gen, p: &Gen, arena: &mut ExprArena) -> NodeId {
+    let (m, n, p) = (build(m, arena), build(n, arena), build(p, arena));
+    let tn = arena.t(n);
+    let mn = arena.matmul(m, tn);
+    let pn = arena.matmul(p, tn);
+    arena.sub(mn, pn)
 }
 
 fn build(g: &Gen, arena: &mut ExprArena) -> NodeId {
@@ -109,7 +147,66 @@ fn build(g: &Gen, arena: &mut ExprArena) -> NodeId {
             let two = arena.lit(2.0);
             arena.pow(a, two)
         }
+        Gen::Gram(m) => {
+            let m = build(m, arena);
+            let tm = arena.t(m);
+            let gram = arena.matmul(tm, m);
+            arena.matmul(m, gram)
+        }
+        Gen::GradU(m, n, p) => {
+            let r = residual(m, n, p, arena);
+            let n = build(n, arena);
+            arena.matmul(r, n)
+        }
+        Gen::GradV(m, n, p) => {
+            let r = residual(m, n, p, arena);
+            let m = build(m, arena);
+            let tm = arena.t(m);
+            let g = arena.matmul(tm, r);
+            arena.t(g)
+        }
     }
+}
+
+/// The first node of `expr` with an index free in one operand and bound
+/// by a `Σ` in another, rendered; `None` when the plan is capture-free.
+fn capture(expr: &MathExpr) -> Option<String> {
+    // (free attributes, Σ binders) per node: children precede parents
+    let mut scope: Vec<(BTreeSet<Symbol>, BTreeSet<Symbol>)> = Vec::new();
+    let sym = |id: &Id| match expr.node(*id) {
+        Math::Sym(s) => Some(*s),
+        _ => None,
+    };
+    for (ix, node) in expr.nodes().iter().enumerate() {
+        let (mut free, mut bound) = (BTreeSet::new(), BTreeSet::new());
+        match node {
+            Math::Bind([i, j, _]) => free.extend([i, j].into_iter().filter_map(sym)),
+            Math::Agg([i, body]) => {
+                (free, bound) = scope[body.index()].clone();
+                let i = sym(i).expect("Σ binds an index");
+                free.remove(&i);
+                bound.insert(i);
+            }
+            _ => {
+                let kids = node.children();
+                for a in kids {
+                    for b in kids {
+                        let (fa, bb) = (&scope[a.index()].0, &scope[b.index()].1);
+                        if let Some(s) = fa.intersection(bb).next() {
+                            let here = MathExpr::extract(expr, Id::from(ix));
+                            return Some(format!("{s} is free and bound under {here}"));
+                        }
+                    }
+                }
+                for c in kids {
+                    free.extend(&scope[c.index()].0);
+                    bound.extend(&scope[c.index()].1);
+                }
+            }
+        }
+        scope.push((free, bound));
+    }
+    None
 }
 
 fn vars() -> HashMap<Symbol, VarMeta> {
@@ -150,6 +247,29 @@ proptest! {
         let want = eval_la(&arena, root, &env).unwrap();
 
         let tr = translate(&arena, root, &vars()).unwrap();
+        let dims: HashMap<Symbol, usize> = tr
+            .ctx
+            .index_dims
+            .iter()
+            .map(|(&s, &d)| (s, d as usize))
+            .collect();
+        let got = eval_ra(&tr.expr, tr.row, tr.col, &env, &dims).unwrap();
+        prop_assert!(want.approx_eq(&got, 1e-7), "{want:?} vs {got:?}");
+    }
+
+    #[test]
+    fn shared_contractions_translate_capture_free(
+        g in shared_contraction(),
+        data in prop::collection::vec(-4i8..=4, 16..=16),
+    ) {
+        let mut arena = ExprArena::new();
+        let root = build(&g, &mut arena);
+        let env = tensors(&data);
+        let tr = translate(&arena, root, &vars()).unwrap();
+        if let Some(clash) = capture(&tr.expr) {
+            prop_assert!(false, "{clash}\nin {}", tr.expr);
+        }
+        let want = eval_la(&arena, root, &env).unwrap();
         let dims: HashMap<Symbol, usize> = tr
             .ctx
             .index_dims

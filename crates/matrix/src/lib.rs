@@ -1,7 +1,7 @@
 //! Dense and CSR sparse matrix kernels + synthetic data generators.
 //!
 //! This crate is the execution substrate standing in for SystemML's
-//! matrix runtime (DESIGN.md, substitution table): row-major dense
+//! matrix runtime: row-major dense
 //! matrices, CSR sparse matrices with sparsity-exploiting kernels, a
 //! unified [`Matrix`] value with SystemML-style representation selection,
 //! and the synthetic generators behind every benchmark table.
