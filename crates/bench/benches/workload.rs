@@ -11,8 +11,8 @@
 //!   acceptance bars: the one-pass saturation does less total matching
 //!   work than the per-statement sum on ≥ 4 of the 5 workloads
 //!   (including GLM and PNMF specifically) AND its wall time is within
-//!   1.1× of the per-statement sum on ≥ 4 of the 5; SVM is the
-//!   documented holdout for both (see `smoke`); run by CI;
+//!   1.1× of the per-statement sum on ≥ 4 of the 5 (see `smoke`); run
+//!   by CI;
 //! * `-- --threads N` — run either of the above with N search threads
 //!   instead of the `SPORES_THREADS`/host default.
 //!
@@ -194,21 +194,10 @@ fn smoke(parallel: ParallelConfig) {
     // ≥ 4 of 5 workloads, and specifically on GLM and PNMF — the two
     // the PR-3 shared-cap workload mode lost.
     //
-    // Documented holdout — SVM, which this PR flips from a narrow win
-    // (4,437 vs 5,008 under the PR-3 pooled cap) to a narrow loss
-    // (~5.6k vs ~4.8k). The cause is the per-region budget itself: the
-    // pooled cap spread 40×N applications across whatever was hot,
-    // starving SVM's five nearly-disjoint statements just enough that
-    // the union run stalled (and stopped) early; per-region budgets
-    // give every live statement the per-statement application rate, so
-    // the union run now explores as deeply as the five solo runs
-    // combined — but SVM is the smallest §4.2 workload, its
-    // per-statement runs converge within a handful of iterations each,
-    // and its statements share little beyond input leaves, so there is
-    // almost no converged-region waste for freezing to reclaim against
-    // the union-sweep overhead of the hot phase. The trade buys the
-    // ALS/GLM/MLR flips (tens of thousands of candidate visits each)
-    // at the cost of a few hundred visits here.
+    // Search is capped under the sampling scheduler, so a pass visits
+    // about what its sample needs; the shared pass saves by searching a
+    // class several statements reach once for all of them, and by
+    // skipping the per-statement runs' final exhaustive sweeps.
     assert!(
         fewer_candidates >= 4,
         "acceptance: one-pass saturation must do less total rule-matching work \
@@ -225,9 +214,7 @@ fn smoke(parallel: ParallelConfig) {
     // Wall-time acceptance: less matching work must show up on the
     // clock too. One-pass must land within 1.1× of the per-statement
     // sum on ≥ 4 of 5 workloads (best-of-two runs each, damping
-    // scheduler noise). SVM is again the expected holdout: it does
-    // ~17% more matching work one-pass (see above), so its wall time
-    // trails by the same margin.
+    // scheduler noise).
     assert!(
         wall_ok >= 4,
         "acceptance: one-pass wall time must be within {WALL_SLACK}x of the \
@@ -254,15 +241,9 @@ fn scaling_guard() {
         return;
     }
     let bundle = workload_bundle(&workloads::als(200, 100, 8, 51));
-    let serial = ParallelConfig {
-        threads: 1,
-        ..ParallelConfig::serial()
-    };
+    let serial = ParallelConfig::serial();
     let threads = cores.min(4);
-    let fanned = ParallelConfig {
-        threads,
-        ..ParallelConfig::serial()
-    };
+    let fanned = ParallelConfig { threads };
     let (serial_ns, _) = min_of_two(|| run_shared(&bundle, serial));
     let (fanned_ns, _) = min_of_two(|| run_shared(&bundle, fanned));
     assert!(

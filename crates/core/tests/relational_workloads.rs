@@ -62,10 +62,7 @@ fn run(
         })
         .with_node_limit(3_000)
         .with_iter_limit(6)
-        .with_parallel(ParallelConfig {
-            threads,
-            min_shard_size: 1,
-        })
+        .with_parallel(ParallelConfig { threads })
         .with_matching(mode);
     for expr in exprs {
         runner = runner.with_expr(expr);

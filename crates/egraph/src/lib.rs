@@ -42,7 +42,7 @@ pub use rewrite::{
     RewriteError,
 };
 pub use runner::{
-    search_rules_parallel, Iteration, ParallelConfig, RegionConfig, RuleIterStats, Runner,
-    Scheduler, SearchPlan, StopReason,
+    search_rules_parallel, Iteration, ParallelConfig, RegionConfig, RuleIterStats, RuleSearch,
+    Runner, Scheduler, SearchBound, SearchPlan, StopReason,
 };
 pub use unionfind::UnionFind;

@@ -337,8 +337,7 @@ impl<L: Language> Pattern<L> {
     /// candidates for the pattern root intersected with the dirty set,
     /// in ascending id order. `dirty_sorted` must be sorted and
     /// deduplicated; the saturation driver sorts each iteration's dirty
-    /// snapshot once and shares it across every rule, and the parallel
-    /// search phase shards the returned list across its pool.
+    /// snapshot once and shares it across every rule.
     ///
     /// Because the e-graph closes the dirty set over the parent
     /// relation ([`EGraph::dirty_classes`]), a match is new only if its
@@ -410,8 +409,8 @@ impl<L: Language> Pattern<L> {
 
     /// Run the matcher over an explicit candidate id list — the one
     /// funnel every search goes through, full or delta sweep, whole
-    /// list or one parallel shard — reporting the matches and how many
-    /// classes were visited. The ids must be canonical and on a clean
+    /// list or one chunk of a capped search — reporting the matches and
+    /// how many classes were visited. The ids must be canonical and on a clean
     /// graph, as produced by [`Pattern::delta_candidate_ids`] /
     /// [`Pattern::except_candidate_ids`]. Both backends visit exactly
     /// the ids given (identical `visited` counts) and return

@@ -392,7 +392,7 @@ enum RelInsn<L> {
 
 /// Sweeps at least this large get a per-sweep [`RelPlan`]:
 /// selectivity-ordered scans plus eager guard intersections. Below it
-/// (delta sweeps, small shards, tiny graphs) planning itself — column
+/// (delta sweeps, capped-search chunks, tiny graphs) planning itself — column
 /// lookups, estimates, O(|column|) merges, span bookkeeping — costs
 /// more than the sweep, so the precompiled static plan runs instead.
 /// Purely a performance switch: both plans accept exactly the same
@@ -401,7 +401,7 @@ pub(crate) const PLANNED_SWEEP_MIN: usize = 32;
 
 /// A [`RelQuery`] instantiated against one e-graph snapshot: the
 /// selectivity-ordered instruction list plus the guard columns it
-/// binary-searches. Built once per (rule, shard) sweep; `'g` borrows
+/// binary-searches. Built once per `search_ids` call; `'g` borrows
 /// the e-graph's index columns.
 pub(crate) struct RelPlan<'g, L> {
     insns: Vec<RelInsn<L>>,
@@ -420,7 +420,7 @@ pub(crate) struct RelPlan<'g, L> {
 impl<'g, L: Language> RelPlan<'g, L> {
     /// Instantiate `query` against `egraph` for a sweep of `sweep_len`
     /// candidates. Deterministic: depends only on the e-graph snapshot
-    /// and the query, never on thread or shard identity.
+    /// and the query, never on thread identity.
     pub(crate) fn build<A: Analysis<L>>(
         query: &RelQuery<L>,
         egraph: &'g EGraph<L, A>,

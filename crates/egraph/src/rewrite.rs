@@ -307,7 +307,7 @@ impl<L: Language, A: Analysis<L>> Rewrite<L, A> {
     }
 
     /// Run this rule's matcher over an explicit candidate id list (a
-    /// whole sweep or one search shard). See [`Pattern::search_ids`].
+    /// whole sweep or one chunk of a capped search). See [`Pattern::search_ids`].
     pub fn search_ids(
         &self,
         egraph: &EGraph<L, A>,

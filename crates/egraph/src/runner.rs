@@ -9,7 +9,9 @@
 //! * **sampling** — cap the number of matches applied per rule per
 //!   iteration, sampling uniformly, which "encourages each rule to be
 //!   considered equally often and prevents any single rule from exploding
-//!   the graph".
+//!   the graph". A rule's search stops once it has found that many
+//!   matches, so e-matching costs what the sampler applies, not what
+//!   the graph holds.
 //!
 //! How often a rule is *searched* is paced by one fixed policy — the
 //! backoff ladder and the region-freeze threshold below are constants,
@@ -24,6 +26,8 @@ use crate::relational::MatchingMode;
 use crate::rewrite::Rewrite;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use spores_telemetry::Counter;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Match application strategy (§3.1 "Dealing with Expansive Rules").
@@ -32,6 +36,14 @@ pub enum Scheduler {
     /// Apply all matches of all rules every iteration.
     DepthFirst,
     /// Apply at most `match_limit` sampled matches per rule per iteration.
+    /// A rule's search visits its candidates in an order shuffled per
+    /// (seed, iteration, rule name) and stops at the first chunk
+    /// boundary where it holds `match_limit` matches (per anchor region
+    /// in workload mode), so the search finds about what the sampler
+    /// applies instead of every match. The iteration after a
+    /// zero-union iteration of a partial view searches exhaustively:
+    /// a run only stops as [`StopReason::Saturated`] on an iteration
+    /// that searched every candidate.
     Sampling { match_limit: usize, seed: u64 },
 }
 
@@ -109,22 +121,21 @@ pub struct RegionConfig {}
 /// Parallel search configuration: phase 1 of the two-phase iteration
 /// (read-only search fan-out; apply/rebuild stay exclusive).
 ///
-/// `threads == 1` runs search inline on the caller's thread — no task
-/// materialization, no pool, byte-for-byte the historical serial path.
-/// Results are **bit-identical at any thread count**: every rule's
-/// candidate list is enumerated serially in ascending id order, shards
-/// partition that list, per-shard match buffers are merged back into
-/// ascending-class order, and the sampling RNG stays keyed by (seed,
-/// iteration, rule name) — never by shard or thread (see
+/// The pool only runs exhaustive searches — depth-first runs and the
+/// sampling scheduler's verification sweeps — one task per rule. A
+/// capped search stops after a few chunks per rule, too little work for
+/// a fan-out to pay for, so it always runs inline on the caller's
+/// thread, as does everything at `threads == 1`. Results are
+/// **bit-identical at any thread count**: a rule's anchor-region lanes
+/// are searched serially in plan order and each is cut at a chunk
+/// boundary decided by its own matches alone, matches are sorted into
+/// ascending-class order, and the shuffle and sampling RNG stay keyed
+/// by (seed, iteration, rule name) — never by task or thread (see
 /// [`search_rules_parallel`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct ParallelConfig {
     /// Worker threads for the search phase (clamped to ≥ 1).
     pub threads: usize,
-    /// Rules with at most this many candidates run as a single task, so
-    /// tiny searches never pay fan-out overhead; larger candidate lists
-    /// are split into shards of at least this size.
-    pub min_shard_size: usize,
 }
 
 impl Default for ParallelConfig {
@@ -140,7 +151,6 @@ impl Default for ParallelConfig {
             .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         ParallelConfig {
             threads: threads.max(1),
-            min_shard_size: 64,
         }
     }
 }
@@ -148,11 +158,38 @@ impl Default for ParallelConfig {
 impl ParallelConfig {
     /// Single-threaded search, ignoring the environment.
     pub fn serial() -> Self {
-        ParallelConfig {
-            threads: 1,
-            min_shard_size: 64,
-        }
+        ParallelConfig { threads: 1 }
     }
+}
+
+/// Candidates a capped search visits between two checks of its match
+/// count. An AC class can hold a dozen matches of one rule, so a chunk
+/// of a few classes already overshoots the cap; on `als_2k` a chunk of
+/// 4 found fewer matches, and saturated faster, than 8, 16 or 32.
+const SEARCH_CHUNK: usize = 4;
+
+/// How far each rule's search goes in one iteration.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum SearchBound {
+    /// Visit every candidate.
+    Exhaustive,
+    /// Visit each lane's candidates in plan order, `chunk` at a time,
+    /// and stop at the first chunk boundary where the lane holds at
+    /// least `cap` matches. A lane is one anchor region's candidates
+    /// when region masks are given, else the whole list.
+    Capped { cap: usize, chunk: usize },
+}
+
+/// One rule's search in one iteration.
+#[derive(Clone, Debug, Default)]
+pub struct RuleSearch {
+    /// Matches found, in ascending root-class order.
+    pub matches: Vec<SearchMatches>,
+    /// Candidates the matcher visited.
+    pub visited: usize,
+    /// Candidates a capped search cut off, in plan order (empty when
+    /// every candidate was visited).
+    pub unvisited: Vec<Id>,
 }
 
 /// Why the runner stopped.
@@ -179,8 +216,8 @@ pub enum StopReason {
 #[derive(Clone, Debug, Default)]
 pub struct RuleIterStats {
     pub rule: String,
-    /// Classes the op-head index proposed for this rule's lhs (the
-    /// classes actually visited by the compiled matcher).
+    /// Classes the compiled matcher visited: the op-head candidates of
+    /// this rule's lhs, up to the point where a capped search stopped.
     pub candidates: usize,
     /// (class, subst) instances found.
     pub matches: usize,
@@ -197,6 +234,9 @@ pub struct RuleIterStats {
     /// counts the classes actually visited either way, so delta and
     /// full-sweep numbers aggregate comparably.
     pub delta: bool,
+    /// True when the match cap cut this rule's search short: some of
+    /// its candidates went unvisited (see [`SearchBound::Capped`]).
+    pub truncated: bool,
 }
 
 /// Statistics for one saturation iteration.
@@ -217,8 +257,9 @@ pub struct Iteration {
     pub frozen_regions: Vec<bool>,
 }
 
-/// What one rule searches in one iteration: the exact candidate ids a
-/// serial search would visit, in ascending order.
+/// What one rule searches in one iteration: its candidate ids in visit
+/// order — ascending as `Pacing::plan` builds them, shuffled by the
+/// runner before a capped search.
 #[derive(Clone, Debug)]
 pub enum SearchPlan {
     /// Backoff muted the rule: its search is skipped.
@@ -235,6 +276,16 @@ impl SearchPlan {
         match self {
             SearchPlan::Muted => None,
             SearchPlan::Full(ids) | SearchPlan::Delta(ids) => Some(ids),
+        }
+    }
+
+    /// Put the candidate ids in a uniformly random visit order
+    /// (Fisher-Yates), so a capped search samples the candidates.
+    fn shuffle(&mut self, rng: &mut StdRng) {
+        if let SearchPlan::Full(ids) | SearchPlan::Delta(ids) = self {
+            for i in (1..ids.len()).rev() {
+                ids.swap(i, rng.random_range(0..i + 1));
+            }
         }
     }
 }
@@ -348,7 +399,11 @@ impl Pacing {
                 continue;
             }
             // `applied > 0`: a rule whose matches were all sampled out
-            // (a zero budget) went untried, which is not fruitless.
+            // (a zero budget) went untried, which is not fruitless. A
+            // capped search is judged by its applied sample exactly like
+            // an exhaustive one: it stops only once each cut lane holds
+            // a full sample, so the cut changes which matches were
+            // tried, never how many — being cut short is no evidence.
             if stats.matches > 0 && stats.applied > 0 && stats.unions == 0 {
                 pace.fruitless += 1;
                 if pace.fruitless >= FRUITLESS_THRESHOLD {
@@ -639,9 +694,9 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
     /// Run saturation to convergence or until a limit trips.
     ///
     /// One iteration is: limits → region bookkeeping (`Regions::observe`)
-    /// → per-rule search plan (`Pacing::plan`) → search
-    /// ([`search_rules_parallel`]) → sample + apply → rebuild → backoff
-    /// bookkeeping (`Pacing::record`) → stop decision.
+    /// → per-rule search plan (`Pacing::plan`), shuffled when capped →
+    /// search ([`search_rules_parallel`]) → sample + apply → rebuild →
+    /// backoff bookkeeping (`Pacing::record`) → stop decision.
     ///
     /// Search is *incremental*: each iteration takes the e-graph's
     /// dirty-class set (everything touched since the previous
@@ -650,16 +705,21 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
     /// on its first search and on verification sweeps; while muted it
     /// *banks* the dirty snapshots it sleeps through and delta-searches
     /// the accumulated set on re-admission, so no delta is ever missed.
-    /// [`StopReason::Saturated`] is only declared on a zero-union full
-    /// sweep with every rule active and no region frozen; a zero-union
-    /// iteration of a partial view re-admits every rule and retries
-    /// with full sweeps (region-tracked runs instead let the quiet
+    /// Under [`Scheduler::Sampling`] a rule's search is also *capped*
+    /// ([`SearchBound::Capped`]): it stops once it holds the matches
+    /// the sampler will apply, and a productive rule re-marks the
+    /// candidates it cut off. [`StopReason::Saturated`] is only declared
+    /// on a zero-union full, uncapped sweep with every rule active and
+    /// no region frozen; a zero-union iteration of a partial view makes
+    /// the next iteration search without a cap, and re-admits every
+    /// rule for full sweeps (region-tracked runs instead let the quiet
     /// counters tick and stop on [`StopReason::RegionsConverged`] once
     /// every statement region has individually stalled).
     ///
     /// Each iteration is two-phase: phase 1 searches all unmuted rules
-    /// against the immutable e-graph — fanned across a scoped thread
-    /// pool per [`ParallelConfig`] — and phase 2 drains the merged
+    /// against the immutable e-graph — an exhaustive search fanned
+    /// across a scoped thread pool per [`ParallelConfig`], a capped one
+    /// inline — and phase 2 drains the merged
     /// match buffers through the exclusive apply path and a single
     /// rebuild. The `Sync` bounds let phase 1 share `&EGraph` across
     /// threads; they are vacuous for any analysis built from plain
@@ -676,6 +736,10 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
         }
         let mut pacing = Pacing::new(rules, self.backoff, self.delta, self.rule_priors.as_ref());
         let mut regions = Regions::new(self.roots.len(), self.regions);
+        // The previous iteration made no union: this one verifies the
+        // fixpoint with an exhaustive search.
+        let mut verify = false;
+        let mut rule_counters = Vec::new();
 
         loop {
             if let Some(limit) = self.limit_reached(start) {
@@ -708,7 +772,23 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
             // --- phase 1: search (read-only) -------------------------
             let search_span = spores_telemetry::span!("saturation.search");
             let t = Instant::now();
-            let plan = pacing.plan(&self.egraph, rules, iter_ix, &dirty, &frozen_classes);
+            let mut plan = pacing.plan(&self.egraph, rules, iter_ix, &dirty, &frozen_classes);
+            // Each rule's RNG stream, keyed by (seed, iteration, rule
+            // name): it shuffles a capped search's visit order, then
+            // draws the sample (see `sample_and_apply`).
+            let mut rngs: Vec<StdRng> = match self.scheduler {
+                Scheduler::Sampling { seed, .. } => rules
+                    .iter()
+                    .map(|rule| rule_rng(seed, iter_ix as u64, &rule.name))
+                    .collect(),
+                Scheduler::DepthFirst => Vec::new(),
+            };
+            let bound = self.search_bound(&regions, verify);
+            if bound != SearchBound::Exhaustive {
+                for (rule_plan, rng) in plan.iter_mut().zip(&mut rngs) {
+                    rule_plan.shuffle(rng);
+                }
+            }
             let searched = search_rules_parallel(
                 &self.egraph,
                 rules,
@@ -716,15 +796,16 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
                 regions.masks(),
                 self.parallel,
                 self.matching,
+                bound,
             );
-            let instances = record_matches(rules, &plan, searched, &mut iter);
+            let searched = record_matches(rules, &plan, searched, &mut iter);
             iter.search_time = t.elapsed();
             drop(search_span);
 
             // --- phase 2: sample + apply, then one rebuild -----------
             let apply_span = spores_telemetry::span!("saturation.apply");
             let t = Instant::now();
-            self.sample_and_apply(rules, instances, &regions, iter_ix, &mut iter);
+            self.sample_and_apply(rules, searched, rngs, &regions, &mut iter);
             iter.apply_time = t.elapsed();
             drop(apply_span);
 
@@ -740,16 +821,19 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
             iter_span.arg("unions", iter.unions);
             iter_span.arg("nodes", iter.egraph_nodes);
             drop(iter_span);
-            publish_rule_counters(&iter.rules);
+            publish_rule_counters(&iter.rules, &mut rule_counters);
 
             // --- stop decision ---------------------------------------
             let fixpoint = iter.unions == 0;
-            // Muted rules, frozen regions, or delta-restricted candidates
-            // (delta can also have dropped sampled-out matches): a
-            // fixpoint of such a view proves nothing about the whole.
-            let partial_view =
-                any_muted || regions.any_frozen() || iter.rules.iter().any(|r| r.delta);
+            // Muted rules, frozen regions, delta-restricted candidates
+            // (delta can also have dropped sampled-out matches), or a
+            // search the match cap cut short: a fixpoint of such a view
+            // proves nothing about the whole.
+            let partial_view = any_muted
+                || regions.any_frozen()
+                || iter.rules.iter().any(|r| r.delta || r.truncated);
             self.iterations.push(iter);
+            verify = fixpoint;
             if fixpoint && !partial_view {
                 self.stop_reason = Some(StopReason::Saturated);
                 break;
@@ -783,20 +867,51 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
         }
     }
 
+    /// The per-lane match cap of this iteration's search: the sampler's
+    /// budget under [`Scheduler::Sampling`] — per anchor region with
+    /// tracked regions, pooled over the regions without — and
+    /// exhaustive for depth-first runs and for a verification
+    /// iteration.
+    fn search_bound(&self, regions: &Regions, verify: bool) -> SearchBound {
+        match self.scheduler {
+            Scheduler::Sampling { match_limit, .. } if !verify => SearchBound::Capped {
+                cap: self.sample_limit(regions, match_limit),
+                chunk: SEARCH_CHUNK,
+            },
+            _ => SearchBound::Exhaustive,
+        }
+    }
+
+    /// Matches applied per rule per sampling bucket: `match_limit` per
+    /// tracked region, or — more than 64 roots cannot budget per region
+    /// — one pooled cap scaled by the number of regions.
+    fn sample_limit(&self, regions: &Regions, match_limit: usize) -> usize {
+        if regions.enabled && !regions.tracked {
+            match_limit.saturating_mul(regions.frozen.len())
+        } else {
+            match_limit
+        }
+    }
+
     /// Phase 2 of the iteration: pick each rule's applications under the
-    /// scheduler and apply them, rule by rule in rule order.
+    /// scheduler and apply them, rule by rule in rule order. `rngs`
+    /// holds each rule's stream under [`Scheduler::Sampling`] (empty
+    /// depth-first).
     fn sample_and_apply(
         &mut self,
         rules: &[Rewrite<L, A>],
-        instances: Vec<Vec<(Id, Subst)>>,
+        searched: Vec<Found>,
+        rngs: Vec<StdRng>,
         regions: &Regions,
-        iter_ix: usize,
         iter: &mut Iteration,
     ) {
         let n_regions = regions.frozen.len();
-        for ((rule, mut instances), stats) in rules.iter().zip(instances).zip(&mut iter.rules) {
+        let mut rngs = rngs.into_iter();
+        for ((rule, (mut instances, unvisited)), stats) in
+            rules.iter().zip(searched).zip(&mut iter.rules)
+        {
             let mut dropped: Vec<(Id, Subst)> = Vec::new();
-            if let Scheduler::Sampling { match_limit, seed } = self.scheduler {
+            if let Scheduler::Sampling { match_limit, .. } = self.scheduler {
                 // Each rule samples from its own RNG stream derived from
                 // the seed, the iteration, and the rule *name*, so which
                 // matches a rule applies is stable under rule
@@ -804,35 +919,44 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
                 // each statement region separately, so every statement
                 // progresses at the per-statement pipeline's application
                 // rate and no hot region can consume a pooled multiple.
-                let mut rng = rule_rng(seed, iter_ix as u64, &rule.name);
+                let mut rng = rngs.next().expect("one RNG per rule when sampling");
+                let limit = self.sample_limit(regions, match_limit);
                 dropped = match regions.masks() {
                     Some(masks) => {
-                        sample_per_region(&mut instances, masks, n_regions, match_limit, &mut rng)
+                        sample_per_region(&mut instances, masks, n_regions, limit, &mut rng)
                     }
-                    None => {
-                        // >64 roots cannot budget per region: one pooled
-                        // cap, scaled by the number of regions.
-                        let scale = if regions.enabled { n_regions } else { 1 };
-                        let limit = match_limit.saturating_mul(scale);
-                        sample_in_place(&mut instances, limit, &mut rng)
-                    }
+                    None => sample_in_place(&mut instances, limit, &mut rng),
                 };
             }
+            // The anchor regions this rule made a union in (one bucket
+            // without region tracking).
+            let masks = regions.masks();
+            let bucket = |id: Id| masks.map_or(0, |masks| anchor_region(masks, id));
+            let mut productive = 0u128;
             let mut rule_unions = 0;
             for (class, subst) in &instances {
-                rule_unions += rule.apply_match(&mut self.egraph, *class, subst);
+                let unions = rule.apply_match(&mut self.egraph, *class, subst);
+                if unions > 0 {
+                    productive |= 1 << bucket(*class);
+                }
+                rule_unions += unions;
             }
-            // Sampled-out matches of a *productive* rule are pending,
-            // not gone: re-mark their root classes so the next delta
-            // sweep re-finds them (full re-search used to give every
-            // match a fresh chance each iteration). A rule whose whole
-            // sample applied without one union signals a stale pool —
-            // its drops decay instead of re-marking, so a converging
-            // run's dirt dies out rather than self-sustaining (the
-            // information lost is exactly what the pre-incremental
-            // sampled stall also lost).
-            if rule_unions > 0 {
-                for (class, _) in dropped {
+            // Sampled-out matches and cut-off candidates are pending,
+            // not gone, where the rule is *productive*: re-mark their
+            // root classes so the next delta sweep re-finds them (full
+            // re-search used to give every match a fresh chance each
+            // iteration). Where the rule's whole sample applied without
+            // one union the pool is stale — its drops decay instead of
+            // re-marking, so a converging run's dirt dies out rather
+            // than self-sustaining (the information lost is exactly
+            // what the pre-incremental sampled stall also lost, and a
+            // verification iteration searches everything again). With
+            // tracked regions this is judged per anchor region, the
+            // partition the sample is drawn by: a rule still productive
+            // in one statement keeps no other statement's stale pool
+            // awake.
+            for class in dropped.into_iter().map(|(class, _)| class).chain(unvisited) {
+                if productive & 1 << bucket(class) != 0 {
                     self.egraph.mark_dirty(class);
                 }
             }
@@ -844,31 +968,38 @@ impl<L: Language, A: Analysis<L>> Runner<L, A> {
     }
 }
 
-/// Flatten each rule's search result to `(class, subst)` instances and
-/// open the rule's stats row for this iteration.
+/// One rule's search, flattened: its `(class, subst)` instances and the
+/// candidates the cap cut off.
+type Found = (Vec<(Id, Subst)>, Vec<Id>);
+
+/// Flatten each rule's search result to `(class, subst)` instances —
+/// paired with the candidates the cap cut off — and open the rule's
+/// stats row for this iteration.
 fn record_matches<L: Language, A: Analysis<L>>(
     rules: &[Rewrite<L, A>],
     plan: &[SearchPlan],
-    searched: Vec<Option<(Vec<SearchMatches>, usize)>>,
+    searched: Vec<Option<RuleSearch>>,
     iter: &mut Iteration,
-) -> Vec<Vec<(Id, Subst)>> {
+) -> Vec<Found> {
     let mut per_rule = Vec::with_capacity(rules.len());
     for ((rule, plan), result) in rules.iter().zip(plan).zip(searched) {
-        let (matches, candidates) = result.unwrap_or_default();
-        let instances: Vec<(Id, Subst)> = matches
+        let result = result.unwrap_or_default();
+        let instances: Vec<(Id, Subst)> = result
+            .matches
             .into_iter()
             .flat_map(|m| m.substs.into_iter().map(move |s| (m.eclass, s)))
             .collect();
         iter.matches_found += instances.len();
         iter.rules.push(RuleIterStats {
             rule: rule.name.clone(),
-            candidates,
+            candidates: result.visited,
             matches: instances.len(),
             muted: matches!(plan, SearchPlan::Muted),
             delta: matches!(plan, SearchPlan::Delta(_)),
+            truncated: !result.unvisited.is_empty(),
             ..RuleIterStats::default()
         });
-        per_rule.push(instances);
+        per_rule.push((instances, result.unvisited));
     }
     per_rule
 }
@@ -876,45 +1007,59 @@ fn record_matches<L: Language, A: Analysis<L>>(
 /// Mirror one iteration's `RuleIterStats` into the metrics registry,
 /// labeled by rule name, so the text exposition can attribute
 /// candidate/match volume without walking `Runner::iterations`.
-fn publish_rule_counters(rules: &[RuleIterStats]) {
+/// `counters` holds each rule's four counters, looked up on the first
+/// call of a run: a registry lookup formats its key under a lock, and
+/// four per rule per iteration cost a short saturation several percent.
+fn publish_rule_counters(rules: &[RuleIterStats], counters: &mut Vec<[Arc<Counter>; 4]>) {
     if !spores_telemetry::enabled() {
         return;
     }
-    let registry = spores_telemetry::global().registry();
-    for r in rules {
-        let labels = [("rule", r.rule.as_str())];
-        for (name, value) in [
-            ("saturation.rule.candidates", r.candidates),
-            ("saturation.rule.matches", r.matches),
-            ("saturation.rule.applied", r.applied),
-            ("saturation.rule.unions", r.unions),
-        ] {
-            registry.counter_labeled(name, &labels).add(value as u64);
-        }
+    if counters.is_empty() {
+        let registry = spores_telemetry::global().registry();
+        counters.extend(rules.iter().map(|r| {
+            let labels = [("rule", r.rule.as_str())];
+            [
+                "saturation.rule.candidates",
+                "saturation.rule.matches",
+                "saturation.rule.applied",
+                "saturation.rule.unions",
+            ]
+            .map(|name| registry.counter_labeled(name, &labels))
+        }));
+    }
+    for (r, [candidates, matches, applied, unions]) in rules.iter().zip(counters.iter()) {
+        candidates.add(r.candidates as u64);
+        matches.add(r.matches as u64);
+        applied.add(r.applied as u64);
+        unions.add(r.unions as u64);
     }
 }
 
-/// Phase 1 of the two-phase iteration: run every (rule ×
-/// candidate-shard) search task against the immutable `&EGraph` and
-/// merge the per-shard match buffers back into serial order.
+/// Phase 1 of the two-phase iteration: search every unmuted rule
+/// against the immutable `&EGraph`: one pool task per rule when the
+/// search is exhaustive, every rule inline when it is capped (a capped
+/// search stops after a few chunks per rule, and a scoped pool costs
+/// more to start than that).
 ///
-/// `plan[i]` is rule `i`'s candidate id list in ascending order
-/// ([`SearchPlan::Muted`] rules are skipped and yield `None`). Returns,
-/// per rule, exactly what [`Rewrite::search_ids`] over the unsharded
-/// list returns, at any thread count and under any shard structure:
+/// `plan[i]` is rule `i`'s candidate id list in visit order
+/// ([`SearchPlan::Muted`] rules are skipped and yield `None`). With
+/// region `masks`, a rule's candidates are split into one lane per
+/// anchor region — the lowest-numbered root that reaches the class,
+/// the partition the sampler buckets matches by — keeping plan order
+/// within each lane; without masks the whole list is one lane. Under
+/// [`SearchBound::Exhaustive`] each rule returns exactly what
+/// [`Rewrite::search_ids`] over its whole list returns. Under
+/// [`SearchBound::Capped`] each lane visits its candidates a chunk at a
+/// time and stops at the first chunk boundary where it holds `cap`
+/// matches; the rest of the lane is reported as unvisited.
 ///
-/// * shards partition an ascending candidate list and each class's
-///   matches stay inside one shard, so re-sorting the concatenated
-///   shard buffers by root class restores the serial match order
-///   (per-class substitution order is computed within a shard and
-///   already canonical);
-/// * visited counts sum over a partition, so per-rule candidate totals
-///   are exact, not approximate;
-/// * nothing downstream is keyed by shard or thread — the sampling RNG
-///   stays a function of (seed, iteration, rule name).
-///
-/// With `threads == 1` no tasks are materialized and every rule runs
-/// inline — the serial fast path single-core hosts take.
+/// Results are the same at any thread count: a rule's lanes are
+/// searched serially by one task and each is cut by its own match
+/// count, never by timing; matches are sorted by root class (each class
+/// is one candidate of one lane, and its substitution order is
+/// canonical); and nothing downstream is keyed by task or thread — the
+/// shuffle and the sampling RNG stay a function of (seed, iteration,
+/// rule name).
 pub fn search_rules_parallel<L, A>(
     egraph: &EGraph<L, A>,
     rules: &[Rewrite<L, A>],
@@ -922,104 +1067,92 @@ pub fn search_rules_parallel<L, A>(
     masks: Option<&FxHashMap<Id, u64>>,
     cfg: ParallelConfig,
     matching: MatchingMode,
-) -> Vec<Option<(Vec<SearchMatches>, usize)>>
+    bound: SearchBound,
+) -> Vec<Option<RuleSearch>>
 where
     L: Language + Sync,
     A: Analysis<L> + Sync,
     A::Data: Sync,
 {
     assert_eq!(rules.len(), plan.len());
-    let threads = cfg.threads.max(1);
-    if threads == 1 {
-        return rules
-            .iter()
-            .zip(plan)
-            .map(|(rule, plan)| {
-                plan.ids().map(|ids| {
-                    let _span = spores_telemetry::span!(
-                        "saturation.search.shard",
-                        rule = rule.name.as_str(),
-                        candidates = ids.len(),
-                    );
-                    rule.search_ids(egraph, ids, matching)
-                })
-            })
-            .collect();
-    }
-    // Materialize the (rule, shard) task list, then fan it out.
-    let mut tasks: Vec<(usize, Vec<Id>)> = Vec::new();
-    let mut shards_of: Vec<std::ops::Range<usize>> = Vec::with_capacity(plan.len());
-    for (i, rule_plan) in plan.iter().enumerate() {
-        let start = tasks.len();
-        if let Some(ids) = rule_plan.ids() {
-            for shard in shard_candidates(ids, masks, threads, cfg.min_shard_size) {
-                tasks.push((i, shard));
-            }
+    let threads = match bound {
+        SearchBound::Exhaustive => cfg.threads.max(1),
+        SearchBound::Capped { .. } => 1,
+    };
+    spores_pool::scoped_map(threads, plan.len(), |i| {
+        let ids = plan[i].ids()?;
+        if ids.is_empty() {
+            return Some(RuleSearch::default());
         }
-        shards_of.push(start..tasks.len());
-    }
-    let results = spores_pool::scoped_map(threads, tasks.len(), |t| {
-        let (rule_ix, ids) = &tasks[t];
+        let rule = &rules[i];
         let _span = spores_telemetry::span!(
-            "saturation.search.shard",
-            rule = rules[*rule_ix].name.as_str(),
+            "saturation.search.rule",
+            rule = rule.name.as_str(),
             candidates = ids.len(),
         );
-        rules[*rule_ix].search_ids(egraph, ids, matching)
-    });
-    let mut results = results.into_iter();
-    let mut out = Vec::with_capacity(plan.len());
-    for (rule_plan, range) in plan.iter().zip(shards_of) {
-        if rule_plan.ids().is_none() {
-            out.push(None);
-            continue;
-        }
-        let mut matches: Vec<SearchMatches> = Vec::new();
-        let mut visited = 0usize;
-        for _ in range {
-            let (m, v) = results.next().expect("one result per task");
-            matches.extend(m);
-            visited += v;
-        }
-        matches.sort_unstable_by_key(|m| m.eclass);
-        out.push(Some((matches, visited)));
-    }
-    out
+        let mut out = match bound {
+            SearchBound::Exhaustive => {
+                let (matches, visited) = rule.search_ids(egraph, ids, matching);
+                RuleSearch {
+                    matches,
+                    visited,
+                    unvisited: Vec::new(),
+                }
+            }
+            SearchBound::Capped { cap, chunk } => {
+                search_capped(rule, egraph, ids, masks, matching, cap, chunk.max(1))
+            }
+        };
+        out.matches.sort_unstable_by_key(|m| m.eclass);
+        Some(out)
+    })
 }
 
-/// Split one rule's candidate list into search shards.
-///
-/// In workload mode candidates are grouped by *anchor region* first —
-/// the lowest-numbered root that reaches the class, the same partition
-/// [`sample_per_region`] buckets matches by — so a shard's classes
-/// mostly belong to one statement region and traverse that statement's
-/// slice of the graph. Single-root runs (no masks) just chunk the
-/// ascending candidate list. Either way shards partition the input and
-/// the caller re-sorts merged matches, so shard structure never leaks
-/// into results; the grouping only exists for locality.
-fn shard_candidates(
+/// One rule's capped search (see [`SearchBound::Capped`]): candidates
+/// are dealt, in plan order, to their anchor region's lane; a lane
+/// searches each `chunk` it fills while it holds fewer than `cap`
+/// matches, and sends every later candidate to `unvisited`. Lanes never
+/// read each other's counts, so the cut is the one a separate pass over
+/// each region's candidates would make.
+fn search_capped<L: Language, A: Analysis<L>>(
+    rule: &Rewrite<L, A>,
+    egraph: &EGraph<L, A>,
     ids: &[Id],
     masks: Option<&FxHashMap<Id, u64>>,
-    threads: usize,
-    min_shard_size: usize,
-) -> Vec<Vec<Id>> {
-    if ids.is_empty() {
-        return Vec::new();
+    matching: MatchingMode,
+    cap: usize,
+    chunk: usize,
+) -> RuleSearch {
+    let mut out = RuleSearch::default();
+    let mut search = |chunk_ids: &[Id], found: &mut usize| {
+        let (matches, visited) = rule.search_ids(egraph, chunk_ids, matching);
+        *found += matches.iter().map(|m| m.substs.len()).sum::<usize>();
+        out.matches.extend(matches);
+        out.visited += visited;
+    };
+    // Per anchor region (mask 0 / absent is region 64): the chunk being
+    // filled and the matches found so far.
+    let mut lanes: Vec<(Vec<Id>, usize)> = vec![(Vec::new(), 0); 65];
+    let mut unvisited = Vec::new();
+    for &id in ids {
+        let (pending, found) = &mut lanes[masks.map_or(0, |masks| anchor_region(masks, id))];
+        if *found >= cap {
+            unvisited.push(id);
+            continue;
+        }
+        pending.push(id);
+        if pending.len() == chunk {
+            search(pending, found);
+            pending.clear();
+        }
     }
-    let min_shard = min_shard_size.max(1);
-    if ids.len() <= min_shard {
-        return vec![ids.to_vec()];
+    for (pending, found) in &mut lanes {
+        if !pending.is_empty() {
+            search(pending, found);
+        }
     }
-    let mut ordered = ids.to_vec();
-    if let Some(masks) = masks {
-        // Stable sort: ascending id order is preserved within each
-        // region bucket (mask 0 / absent sorts last as bucket 64).
-        ordered.sort_by_key(|id| masks.get(id).copied().unwrap_or(0).trailing_zeros());
-    }
-    // About two tasks per thread so work stealing can balance uneven
-    // shard costs, but never shards smaller than the configured floor.
-    let target = min_shard.max(ordered.len().div_ceil(threads * 2));
-    ordered.chunks(target).map(|c| c.to_vec()).collect()
+    out.unvisited = unvisited;
+    out
 }
 
 /// Deterministic RNG stream for one rule in one iteration: a hash of the
@@ -1032,6 +1165,12 @@ fn rule_rng(seed: u64, iteration: u64, name: &str) -> StdRng {
     h.write_u64(seed);
     h.write_u64(iteration);
     StdRng::seed_from_u64(h.finish())
+}
+
+/// The anchor region of a class: the lowest-numbered root reaching it,
+/// or 64 when none does.
+fn anchor_region(masks: &FxHashMap<Id, u64>, id: Id) -> usize {
+    masks.get(&id).copied().unwrap_or(0).trailing_zeros() as usize
 }
 
 /// Per-region sampling: bucket instances by the lowest-numbered region
@@ -1059,13 +1198,7 @@ fn sample_per_region(
 ) -> Vec<(Id, Subst)> {
     let mut buckets: Vec<Vec<(Id, Subst)>> = vec![Vec::new(); n_regions + 1];
     for inst in instances.drain(..) {
-        let mask = masks.get(&inst.0).copied().unwrap_or(0);
-        let b = if mask == 0 {
-            n_regions
-        } else {
-            mask.trailing_zeros() as usize
-        };
-        buckets[b].push(inst);
+        buckets[anchor_region(masks, inst.0).min(n_regions)].push(inst);
     }
     let mut dropped = Vec::new();
     for mut bucket in buckets {
@@ -1580,5 +1713,182 @@ mod tests {
         );
         // and repeated runs are identical outright
         assert_eq!(a, sampled_flips(&fwd));
+    }
+
+    /// A capped search that makes no union proves nothing: the run must
+    /// not stop as `Saturated` on it, and the iteration after it must
+    /// search every candidate. An identity rule over a 40-leaf sum has
+    /// 39 `+` candidates (more than one chunk), matches every one and
+    /// never unions, so its first, capped sweep is exactly such an
+    /// iteration.
+    #[test]
+    fn zero_union_capped_iteration_is_verified_exhaustively() {
+        let sum = (1..40).fold("a0".to_owned(), |acc, i| format!("(+ a{i} {acc})"));
+        let expr = parse_rec_expr(&sum).unwrap();
+        let rules = vec![Rewrite::new("identity-add", "(+ ?a ?b)", "(+ ?a ?b)").unwrap()];
+        let runner = Runner::<Arith, ()>::default()
+            .with_expr(&expr)
+            .with_scheduler(Scheduler::Sampling {
+                match_limit: 2,
+                seed: 3,
+            })
+            .with_iter_limit(20)
+            .run(&rules);
+        let first = &runner.iterations[0].rules[0];
+        assert!(first.truncated && !first.delta, "{first:?}");
+        assert_eq!(
+            first.candidates, SEARCH_CHUNK,
+            "cut at the first chunk boundary"
+        );
+        assert_eq!(runner.iterations[0].unions, 0);
+        assert_eq!(runner.stop_reason, Some(StopReason::Saturated));
+        let (last, earlier) = runner.iterations.split_last().unwrap();
+        assert!(!earlier.is_empty(), "stopped on the capped iteration");
+        let verified = &last.rules[0];
+        assert!(!verified.truncated && !verified.delta && !verified.muted);
+        assert_eq!(
+            verified.candidates, 39,
+            "verification visits every candidate"
+        );
+        for (ix, it) in earlier.iter().enumerate() {
+            if it.unions == 0 {
+                let next = &runner.iterations[ix + 1].rules[0];
+                assert!(
+                    !next.truncated,
+                    "iteration {} after a fixpoint was capped",
+                    ix + 1
+                );
+            }
+        }
+    }
+
+    /// A rule's leftover matches are re-marked only in the regions it was
+    /// productive in. Region 0 holds `(+ x y)`, which `comm-add` turns
+    /// into a union; region 1 holds sums whose commuted forms are
+    /// already there, so there the rule only re-finds what exists and
+    /// its one-match budget drops the rest. Nothing may leave region 1
+    /// dirty for the next iteration.
+    #[test]
+    fn stale_regions_are_not_re_marked_by_another_regions_union() {
+        let mut runner = Runner::<Arith, ()>::default()
+            .with_scheduler(Scheduler::Sampling {
+                match_limit: 1,
+                seed: 9,
+            })
+            .with_regions(RegionConfig::default())
+            .with_iter_limit(1);
+        let eg = &mut runner.egraph;
+        let fast = eg.add_expr(&parse_rec_expr("(+ x y)").unwrap());
+        let mut sums = Vec::new();
+        for (a, b) in [("a", "b"), ("c", "d"), ("e", "f"), ("g", "h")] {
+            let ab = eg.add_expr(&parse_rec_expr(&format!("(+ {a} {b})")).unwrap());
+            let ba = eg.add_expr(&parse_rec_expr(&format!("(+ {b} {a})")).unwrap());
+            eg.union(ab, ba);
+            sums.push(ab);
+        }
+        let stale = sums
+            .into_iter()
+            .reduce(|acc, s| runner.egraph.add(Arith::Mul([acc, s])))
+            .unwrap();
+        runner.egraph.rebuild();
+        runner.roots = vec![fast, stale];
+        let rules = vec![Rewrite::new("comm-add", "(+ ?a ?b)", "(+ ?b ?a)").unwrap()];
+        let runner = runner.run(&rules);
+        let it = &runner.iterations[0].rules[0];
+        assert!(it.unions > 0 && it.matches > it.applied, "{it:?}");
+        let masks = runner.egraph.reachability_masks(&runner.roots);
+        let stale_dirty: Vec<Id> = runner
+            .egraph
+            .dirty_classes()
+            .iter()
+            .copied()
+            .filter(|id| masks.get(id) == Some(&0b10))
+            .collect();
+        assert!(
+            stale_dirty.is_empty(),
+            "region 1 re-marked: {stale_dirty:?}"
+        );
+    }
+
+    /// Workload mode's per-region budget survives the capped search:
+    /// for every rule in every round, the sample holds exactly
+    /// `min(match_limit, live)` matches of each anchor region, where
+    /// `live` is what an exhaustive search finds there — no region
+    /// exceeds its cap, and none with live matches is starved by
+    /// another region's cut.
+    #[test]
+    fn capped_search_keeps_every_region_budget() {
+        let mut egraph: EGraph<Arith, ()> = EGraph::default();
+        let roots: Vec<Id> = [
+            "(+ (+ a b) (+ c (+ d e)))",
+            "(+ (+ a b) (* f (+ g (+ h i))))",
+            "(* (+ j k) (+ (+ l m) (+ n o)))",
+            "(+ p q)",
+        ]
+        .iter()
+        .map(|src| egraph.add_expr(&parse_rec_expr(src).unwrap()))
+        .collect();
+        egraph.rebuild();
+        let mut rules = rules();
+        rules.push(Rewrite::new("identity-add", "(+ ?a ?b)", "(+ ?a ?b)").unwrap());
+        let limit = 2;
+        let n_regions = roots.len();
+        let mut cuts = 0;
+        for round in 0..4u64 {
+            let masks = egraph.reachability_masks(&roots);
+            let bucket = |id: &Id| {
+                (masks.get(id).copied().unwrap_or(0).trailing_zeros() as usize).min(n_regions)
+            };
+            let none = FxHashSet::default();
+            let full: Vec<SearchPlan> = rules
+                .iter()
+                .map(|rule| SearchPlan::Full(rule.except_candidate_ids(&egraph, &none)))
+                .collect();
+            let search = |plan: &[SearchPlan], bound| {
+                let cfg = ParallelConfig::serial();
+                let mode = MatchingMode::Structural;
+                search_rules_parallel(&egraph, &rules, plan, Some(&masks), cfg, mode, bound)
+            };
+            let exhaustive = search(&full, SearchBound::Exhaustive);
+            for chunk in [1, SEARCH_CHUNK] {
+                let mut plan = full.clone();
+                let mut rngs: Vec<StdRng> =
+                    rules.iter().map(|r| rule_rng(5, round, &r.name)).collect();
+                for (rule_plan, rng) in plan.iter_mut().zip(&mut rngs) {
+                    rule_plan.shuffle(rng);
+                }
+                let capped = search(&plan, SearchBound::Capped { cap: limit, chunk });
+                for ((all, got), rng) in exhaustive.iter().zip(capped).zip(&mut rngs) {
+                    let (all, got) = (all.as_ref().unwrap(), got.unwrap());
+                    cuts += usize::from(!got.unvisited.is_empty());
+                    let mut live = vec![0; n_regions + 1];
+                    for m in &all.matches {
+                        live[bucket(&m.eclass)] += m.substs.len();
+                    }
+                    let mut sample: Vec<(Id, Subst)> = got
+                        .matches
+                        .into_iter()
+                        .flat_map(|m| m.substs.into_iter().map(move |s| (m.eclass, s)))
+                        .collect();
+                    sample_per_region(&mut sample, &masks, n_regions, limit, rng);
+                    let mut applied = vec![0; n_regions + 1];
+                    for (class, _) in &sample {
+                        applied[bucket(class)] += 1;
+                    }
+                    let want: Vec<usize> = live.iter().map(|&n| n.min(limit)).collect();
+                    assert_eq!(applied, want, "round {round}, chunk {chunk}");
+                }
+            }
+            // grow the graph for the next round
+            for (rule, found) in rules.iter().zip(&exhaustive) {
+                for m in &found.as_ref().unwrap().matches {
+                    for subst in m.substs.iter().take(1) {
+                        rule.apply_match(&mut egraph, m.eclass, subst);
+                    }
+                }
+            }
+            egraph.rebuild();
+        }
+        assert!(cuts > 0, "no search was ever cut: the test is vacuous");
     }
 }

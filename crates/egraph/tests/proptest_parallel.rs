@@ -1,25 +1,27 @@
 //! Differential property tests for the parallel search phase.
 //!
-//! The runner's determinism contract: thread count, shard structure,
-//! and the e-matching backend are *invisible* — `search_rules_parallel`
-//! must return byte-identical results at 1, 2, and 8 threads in both
-//! [`MatchingMode`]s (matches in the same order, same visited-candidate
-//! counts), and a full `Runner::run` must produce the same union
-//! sequence, the same per-iteration `RuleIterStats`, the same stop
-//! reason, and the same extracted term at every (thread count, mode)
+//! The runner's determinism contract: thread count and the e-matching
+//! backend are *invisible* — `search_rules_parallel` must return
+//! byte-identical results at 1, 2, and 8 threads in both
+//! [`MatchingMode`]s, exhaustive or capped (matches in the same order,
+//! same visited-candidate counts, same cut-off candidates), and a full
+//! `Runner::run` must produce the same union sequence, the same
+//! per-iteration `RuleIterStats`, the same stop reason, the same pending
+//! dirty set, and the same extracted term at every (thread count, mode)
 //! combination.
 //!
 //! `Pattern::naive_search` stays the ground-truth oracle for *what* the
 //! search finds; the serial (1-thread, structural) path is the oracle
-//! for *order*.
+//! for *order*; an exhaustive search is the oracle for *where* a capped
+//! search cuts.
 
 use proptest::prelude::*;
 use spores_egraph::{
     search_rules_parallel, AstSize, EGraph, Extractor, FxHashMap, FxHashSet, Id, Language,
-    MatchingMode, ParallelConfig, RecExpr, Rewrite, Runner, Scheduler, SearchMatches, SearchPlan,
-    Subst, Var,
+    MatchingMode, ParallelConfig, RecExpr, Rewrite, RuleSearch, Runner, Scheduler, SearchBound,
+    SearchMatches, SearchPlan, Subst, Var,
 };
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 /// Tiny arithmetic language (mirrors `proptest_delta.rs`).
@@ -184,20 +186,85 @@ fn match_set(matches: &[SearchMatches]) -> HashSet<(Id, Vec<(Var, Id)>)> {
     out
 }
 
+/// A visit order that is neither ascending nor the same for every
+/// rule: rotate by the rule index, reverse odd rules.
+fn visit_order(mut ids: Vec<Id>, rule_ix: usize) -> Vec<Id> {
+    if !ids.is_empty() {
+        let k = rule_ix % ids.len();
+        ids.rotate_left(k);
+    }
+    if rule_ix % 2 == 1 {
+        ids.reverse();
+    }
+    ids
+}
+
+/// Exact comparable form of one search: per rule, the match stream *in
+/// order*, the visited count, and the cut-off candidates *in order*.
+type Comparable = Vec<Option<(Vec<(Id, Vec<Subst>)>, usize, Vec<Id>)>>;
+
+fn comparable(rows: &[Option<RuleSearch>]) -> Comparable {
+    rows.iter()
+        .map(|row| {
+            row.as_ref()
+                .map(|r| (exact(&r.matches), r.visited, r.unvisited.clone()))
+        })
+        .collect()
+}
+
+/// What a capped search with single-candidate chunks must return,
+/// derived from the exhaustive result: walking the candidates in plan
+/// order, each is visited while its anchor region (lowest mask bit;
+/// none is region 64) holds fewer than `cap` matches, and cut off after.
+fn cut_oracle(
+    plan: &[SearchPlan],
+    exhaustive: &[Option<RuleSearch>],
+    masks: Option<&FxHashMap<Id, u64>>,
+    cap: usize,
+) -> Vec<Option<RuleSearch>> {
+    plan.iter()
+        .zip(exhaustive)
+        .map(|(rule_plan, full)| {
+            let (ids, full) = (rule_plan.ids()?, full.as_ref().expect("unmuted"));
+            let mut found: HashMap<u32, usize> = HashMap::new();
+            let mut out = RuleSearch::default();
+            for &id in ids {
+                let region = masks.map_or(0, |m| m.get(&id).copied().unwrap_or(0).trailing_zeros());
+                let found = found.entry(region).or_default();
+                if *found >= cap {
+                    out.unvisited.push(id);
+                    continue;
+                }
+                out.visited += 1;
+                if let Some(m) = full.matches.iter().find(|m| m.eclass == id) {
+                    *found += m.substs.len();
+                    out.matches.push(m.clone());
+                }
+            }
+            out.matches.sort_unstable_by_key(|m| m.eclass);
+            Some(out)
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     // Phase-1 determinism at the search level: for arbitrary graphs,
-    // dirty sets, muted-rule plans, and (arbitrary, even nonsensical)
-    // region masks, `search_rules_parallel` at 2 and 8 threads with
-    // single-candidate shards returns *exactly* the serial result —
-    // same match order, same substs, same visited counts — and the
-    // full-plan rows agree with `naive_search` as a set.
+    // dirty sets, muted-rule plans, visit orders, and (arbitrary, even
+    // nonsensical) region masks, `search_rules_parallel` at 2 and 8
+    // threads, exhaustive or capped with single-candidate chunks,
+    // returns *exactly* the serial result — same match order, same
+    // substs, same visited counts, same cut-off candidates — the
+    // full-plan rows agree with `naive_search` as a set, and a capped
+    // search cuts each region lane exactly where the exhaustive match
+    // counts say it first holds `cap` matches.
     #[test]
     fn parallel_search_is_bit_identical_to_serial(
         script in steps(),
         rounds in rounds(),
         mask_bits in prop::collection::vec(any::<u64>(), 0..40),
+        cap in 1usize..6,
     ) {
         let (mut eg, ids) = build(&script);
         let rules = rules();
@@ -241,8 +308,11 @@ proptest! {
                 .enumerate()
                 .map(|(ri, rule)| match (round_ix + ri) % 3 {
                     0 => SearchPlan::Muted,
-                    1 => SearchPlan::Full(rule.except_candidate_ids(&eg, &none)),
-                    _ => SearchPlan::Delta(rule.delta_candidate_ids(&eg, &dirty_sorted)),
+                    1 => SearchPlan::Full(visit_order(rule.except_candidate_ids(&eg, &none), ri)),
+                    _ => SearchPlan::Delta(visit_order(
+                        rule.delta_candidate_ids(&eg, &dirty_sorted),
+                        ri,
+                    )),
                 })
                 .collect();
 
@@ -255,50 +325,53 @@ proptest! {
                 .filter_map(|(i, id)| mask_bits.get(i).map(|&m| (id, m)))
                 .collect();
 
-            let serial = search_rules_parallel(
-                &eg, &rules, &plan, None, ParallelConfig::serial(), MatchingMode::Structural,
-            );
+            let search = |masks, threads, mode, bound| {
+                search_rules_parallel(
+                    &eg, &rules, &plan, masks, ParallelConfig { threads }, mode, bound,
+                )
+            };
+            let serial = search(None, 1, MatchingMode::Structural, SearchBound::Exhaustive);
             for (rule, row) in rules.iter().zip(&serial) {
-                if let Some((matches, _)) = row {
+                if let Some(row) = row {
                     // full-plan rows must agree with the naive oracle
                     let naive = match_set(&rule.searcher.naive_search(&eg));
-                    let got = match_set(matches);
+                    let got = match_set(&row.matches);
                     prop_assert!(
                         got.is_subset(&naive),
                         "{}: parallel search found a non-match", rule.name
                     );
+                    prop_assert!(row.unvisited.is_empty(), "exhaustive search cut candidates");
                 }
             }
-            // Every (thread count, backend) combination — including the
-            // serial relational path, which exercises the inline lane
-            // and the lazy-guard plans single-candidate shards take —
-            // must reproduce the serial structural baseline exactly.
-            for mode in [MatchingMode::Structural, MatchingMode::Relational] {
-                for threads in [1usize, 2, 8] {
-                    if threads == 1 && mode == MatchingMode::Structural {
-                        continue; // the baseline itself
-                    }
-                    for masks in [None, Some(&masks)] {
-                        let cfg = ParallelConfig { threads, min_shard_size: 1 };
-                        let got = search_rules_parallel(&eg, &rules, &plan, masks, cfg, mode);
-                        prop_assert_eq!(got.len(), serial.len());
-                        for ((rule, s), g) in rules.iter().zip(&serial).zip(&got) {
-                            match (s, g) {
-                                (None, None) => {}
-                                (Some((sm, sv)), Some((gm, gv))) => {
-                                    prop_assert_eq!(
-                                        sv, gv,
-                                        "{}: visited-candidate count diverged at {} threads ({:?})",
-                                        rule.name, threads, mode
-                                    );
-                                    prop_assert_eq!(
-                                        exact(sm), exact(gm),
-                                        "{}: match stream diverged at {} threads ({:?}, masks={})",
-                                        rule.name, threads, mode, masks.is_some()
-                                    );
-                                }
-                                _ => prop_assert!(false, "muted lane diverged"),
-                            }
+            let capped = SearchBound::Capped { cap, chunk: 1 };
+            for masks in [None, Some(&masks)] {
+                // The cut oracle: each region cut where its exhaustive
+                // match count first reaches `cap`; the exhaustive search
+                // itself is the same with or without masks.
+                let want_capped = cut_oracle(&plan, &serial, masks, cap);
+                for bound in [SearchBound::Exhaustive, capped] {
+                    let base = search(masks, 1, MatchingMode::Structural, bound);
+                    let want = match bound {
+                        SearchBound::Exhaustive => &serial,
+                        SearchBound::Capped { .. } => &want_capped,
+                    };
+                    prop_assert_eq!(
+                        comparable(&base), comparable(want),
+                        "serial {:?} search diverged from its oracle (masks={})",
+                        bound, masks.is_some()
+                    );
+                    // Every (thread count, backend) combination —
+                    // including the serial relational path, which runs
+                    // the lazy-guard plans single-candidate chunks take
+                    // — must reproduce the serial structural result.
+                    for mode in [MatchingMode::Structural, MatchingMode::Relational] {
+                        for threads in [1usize, 2, 8] {
+                            let got = search(masks, threads, mode, bound);
+                            prop_assert_eq!(
+                                comparable(&got), comparable(&base),
+                                "{:?} search diverged at {} threads ({:?}, masks={})",
+                                bound, threads, mode, masks.is_some()
+                            );
                         }
                     }
                 }
@@ -308,11 +381,13 @@ proptest! {
     }
 
     // End-to-end determinism: a full saturation run — sampling
-    // scheduler, backoff, delta search, rebuilds — is replayed at 2 and
-    // 8 threads (with single-candidate shards) and in relational
-    // matching mode at every thread count, and must reproduce the
-    // 1-thread structural run exactly: stop reason, per-iteration counts
-    // and per-rule `RuleIterStats`, final graph size, and extracted term.
+    // scheduler, capped search, backoff, delta search, rebuilds — is
+    // replayed at 2 and 8 threads and in relational matching mode at
+    // every thread count, and must reproduce the 1-thread structural
+    // run exactly: stop reason, per-iteration counts and per-rule
+    // `RuleIterStats` (cut or not included), final graph size, the
+    // classes left dirty for a next iteration (the re-marked drops and
+    // cut-off candidates), and extracted term.
     #[test]
     fn runner_is_deterministic_across_thread_counts(
         script in steps(),
@@ -330,10 +405,7 @@ proptest! {
                 .with_iter_limit(6)
                 .with_node_limit(1_500)
                 .with_time_limit(Duration::from_secs(3600))
-                .with_parallel(ParallelConfig {
-                    threads,
-                    min_shard_size: 1,
-                })
+                .with_parallel(ParallelConfig { threads })
                 .with_matching(mode)
                 .run(&rules)
         };
@@ -383,8 +455,18 @@ proptest! {
                     prop_assert_eq!(gr.unions, br.unions, "iter {} rule {}", it, gr.rule);
                     prop_assert_eq!(gr.muted, br.muted, "iter {} rule {}", it, gr.rule);
                     prop_assert_eq!(gr.delta, br.delta, "iter {} rule {}", it, gr.rule);
+                    prop_assert_eq!(gr.truncated, br.truncated, "iter {} rule {}", it, gr.rule);
                 }
             }
+            let pending = |r: &Runner<Node, ()>| {
+                let mut d: Vec<Id> = r.egraph.dirty_classes().iter().copied().collect();
+                d.sort_unstable();
+                d
+            };
+            prop_assert_eq!(
+                pending(&got), pending(&baseline),
+                "pending dirty set diverged at {} threads ({:?})", threads, mode
+            );
             let term = Extractor::new(&got.egraph, AstSize)
                 .find_best(got.roots[0])
                 .expect("root extractable");
